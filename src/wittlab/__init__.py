@@ -26,7 +26,7 @@ from .mackey import (BoxProduct, CyclicGroupSpec, MackeyFunctor, MackeyMap,
 from .rings import IntegerRing, ModularRing, PolynomialRing, parse_ring
 from .tambara import (ActionRing, GreenFunctor, GreenMap, TambaraFunctor,
                       burnside_tambara, constant_tambara,
-                      fixed_point_tambara, internal_norm, norm_functor)
+                      fixed_point_tambara, norm_functor)
 from .witt import (UniversalWittPolynomials, WittParams, WittRing,
                    WittVector, teichmuller_lift, universal_polynomials)
 from .wittcomplex import (AxiomReport, ClassicalWittData, WittComplexData,

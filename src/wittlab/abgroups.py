@@ -5,8 +5,13 @@ relations matrix.  Elements are integer coordinate vectors over the
 generators.  The Smith normal form of the relations matrix is computed
 once at construction; it yields the invariant factors and a change of
 basis in which equality, lattice membership and enumeration of elements
-are all decided by modular reduction.  Everything runs on Python's
-arbitrary-precision integers; there is no floating point anywhere.
+are all decided by modular reduction.  The elimination carries the
+inverse of its right transform along (each column operation is undone
+by a row operation), so mapping canonical coordinates back to the
+generators needs no second pass.  Everything runs on Python's
+arbitrary-precision integers: there is no floating point anywhere, and
+no rational arithmetic outside ``determinant``, which is kept as a
+test oracle.
 """
 
 from fractions import Fraction
@@ -17,6 +22,13 @@ from fractions import Fraction
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def unit_vector(n, i):
+    """The i-th standard basis vector of Z^n, as a tuple."""
+    v = [0] * n
+    v[i] = 1
+    return tuple(v)
 
 
 def matmul(a, b):
@@ -77,37 +89,6 @@ def determinant(m):
     return int(det)
 
 
-def invert_unimodular(m):
-    """Inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for t in range(n):
-        piv = None
-        for i in range(t, n):
-            if a[i][t]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[t], a[piv] = a[piv], a[t]
-        inv = 1 / a[t][t]
-        a[t] = [x * inv for x in a[t]]
-        for i in range(n):
-            if i != t and a[i][t]:
-                f = a[i][t]
-                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-    out = []
-    for row in a:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ints.append(int(x))
-        out.append(ints)
-    return out
-
-
 def smith_normal_form(m):
     """Smith normal form with transforms.
 
@@ -119,11 +100,26 @@ def smith_normal_form(m):
     >>> [d[0][0], d[1][1]]
     [1, 6]
     """
+    d, left, right, _right_inv = _smith(m)
+    return _frozen(d), _frozen(left), _frozen(right)
+
+
+def _frozen(m):
+    return tuple(tuple(row) for row in m)
+
+
+def _smith(m):
+    """Smith normal form as lists ``(d, left, right, right_inv)``.
+
+    ``right_inv`` is the inverse of ``right``: every column operation on
+    ``right`` is matched by its inverse row operation on ``right_inv``.
+    """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     a = [[int(x) for x in row] for row in m]
     left = identity_matrix(nrows)
     right = identity_matrix(ncols)
+    right_inv = identity_matrix(ncols)
     t = 0
     while t < min(nrows, ncols):
         # pivot on the smallest nonzero entry of the trailing block
@@ -147,6 +143,7 @@ def smith_normal_form(m):
                 row[t], row[pj] = row[pj], row[t]
             for row in right:
                 row[t], row[pj] = row[pj], row[t]
+            right_inv[t], right_inv[pj] = right_inv[pj], right_inv[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             left[t] = [-x for x in left[t]]
@@ -166,6 +163,9 @@ def smith_normal_form(m):
                     row[j] -= q * row[t]
                 for row in right:
                     row[j] -= q * row[t]
+                # col_j -= q col_t is undone by row_t += q row_j
+                right_inv[t] = [x + q * y for x, y
+                                in zip(right_inv[t], right_inv[j])]
             if a[t][j]:
                 dirty = True
         if dirty:
@@ -184,8 +184,7 @@ def smith_normal_form(m):
             left[t] = [x + y for x, y in zip(left[t], left[fold])]
             continue
         t += 1
-    d = tuple(tuple(row) for row in a)
-    return d, tuple(tuple(r) for r in left), tuple(tuple(r) for r in right)
+    return a, left, right, right_inv
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +216,14 @@ class FgAbGroup:
         object.__setattr__(self, "ngens", ngens)
         object.__setattr__(self, "relations", rel)
         if rel:
-            d, _left, right = smith_normal_form(rel)
+            d, _left, right, rinv = _smith(rel)
             dvec = [d[i][i] if i < len(rel) else 0 for i in range(ngens)]
         else:
-            right = tuple(tuple(r) for r in identity_matrix(ngens))
+            right = rinv = identity_matrix(ngens)
             dvec = [0] * ngens
         object.__setattr__(self, "_dvec", tuple(dvec))
-        object.__setattr__(self, "_right", right)
-        rinv = invert_unimodular([list(r) for r in right]) if ngens else []
-        object.__setattr__(self, "_rinv", tuple(tuple(r) for r in rinv))
+        object.__setattr__(self, "_right", _frozen(right))
+        object.__setattr__(self, "_rinv", _frozen(rinv))
         inv = tuple(x for x in dvec if x != 1)
         object.__setattr__(self, "_invariants", inv)
 
@@ -263,7 +261,7 @@ class FgAbGroup:
         """Canonical form of an element; equal iff canonical forms agree."""
         if len(x) != self.ngens:
             raise ValueError("element has wrong length")
-        z = vecmat(list(x), [list(r) for r in self._right])
+        z = vecmat(x, self._right)
         out = []
         for zi, di in zip(z, self._dvec):
             out.append(zi % di if di else zi)
@@ -305,11 +303,10 @@ class FgAbGroup:
         """Iterate over all elements of a finite group, in a fixed order."""
         if self.order() is None:
             raise ValueError("group is infinite")
-        rinv = [list(r) for r in self._rinv]
 
         def rec(prefix, idx):
             if idx == self.ngens:
-                yield tuple(vecmat(prefix, rinv))
+                yield tuple(vecmat(prefix, self._rinv))
                 return
             for v in range(self._dvec[idx]):
                 yield from rec(prefix + [v], idx + 1)
@@ -372,7 +369,7 @@ class AbHom:
         object.__setattr__(self, "matrix", matrix)
         if check:
             for rel in source.relations:
-                img = vecmat(list(rel), [list(r) for r in matrix])
+                img = vecmat(rel, matrix)
                 if not target.is_zero(img):
                     raise ValueError(
                         "map does not preserve relations: %r" % (rel,))
@@ -401,7 +398,7 @@ class AbHom:
             raise ValueError("element has wrong length")
         if self.source.ngens == 0:
             return (0,) * self.target.ngens
-        return tuple(vecmat(list(x), [list(r) for r in self.matrix]))
+        return tuple(vecmat(x, self.matrix))
 
     def compose(self, inner):
         """self after inner."""
@@ -412,8 +409,7 @@ class AbHom:
             mat = [[0] * self.target.ngens
                    for _ in range(inner.source.ngens)]
         else:
-            mat = matmul([list(r) for r in inner.matrix],
-                         [list(r) for r in self.matrix])
+            mat = matmul(inner.matrix, self.matrix)
         return AbHom(inner.source, self.target, mat, check=False)
 
     def add(self, other):
@@ -471,13 +467,13 @@ def _left_kernel_lattice(m, nrows, ncols):
     for i in range(min(nrows, ncols)):
         if d[i][i]:
             rank += 1
-    return [list(left[i]) for i in range(rank, nrows)]
+    return list(left[rank:])
 
 
 def _solution_lattice(hom):
     """Basis of the lattice {x in Z^src : hom(x) = 0 in target}."""
     src, tgt = hom.source, hom.target
-    stacked = [list(r) for r in hom.matrix] + [list(r) for r in tgt.relations]
+    stacked = list(hom.matrix) + list(tgt.relations)
     basis = _left_kernel_lattice(stacked, len(stacked), tgt.ngens)
     return [row[:src.ngens] for row in basis]
 
@@ -495,14 +491,12 @@ def kernel(hom):
     if not kgens:
         triv = FgAbGroup(0)
         return triv, AbHom(triv, src, [], check=False)
-    incl_matrix = kgens
     # relations among the kernel generators, taken inside the source group
-    stacked = [list(r) for r in incl_matrix] + \
-        [list(r) for r in src.relations]
+    stacked = kgens + list(src.relations)
     basis = _left_kernel_lattice(stacked, len(stacked), src.ngens)
     rels = [row[:len(kgens)] for row in basis]
     kgroup = FgAbGroup(len(kgens), rels)
-    return kgroup, AbHom(kgroup, src, incl_matrix, check=True)
+    return kgroup, AbHom(kgroup, src, kgens, check=True)
 
 
 def image(hom):
@@ -510,8 +504,7 @@ def image(hom):
     src, tgt = hom.source, hom.target
     rels = _solution_lattice(hom)
     igroup = FgAbGroup(src.ngens, rels)
-    return igroup, AbHom(igroup, tgt, [list(r) for r in hom.matrix],
-                         check=True)
+    return igroup, AbHom(igroup, tgt, hom.matrix, check=True)
 
 
 def cokernel(hom):
@@ -523,7 +516,7 @@ def cokernel(hom):
     (3,)
     """
     tgt = hom.target
-    rels = [list(r) for r in tgt.relations] + [list(r) for r in hom.matrix]
+    rels = list(tgt.relations) + list(hom.matrix)
     cgroup = FgAbGroup(tgt.ngens, rels)
     proj = AbHom(tgt, cgroup, identity_matrix(tgt.ngens), check=False)
     return cgroup, proj
@@ -531,7 +524,7 @@ def cokernel(hom):
 
 def quotient_by_endomorphism_family(group, endos):
     """Coinvariants: quotient by the subgroup generated by x - phi(x)."""
-    rels = [list(r) for r in group.relations]
+    rels = list(group.relations)
     for phi in endos:
         if phi.source is not group and phi.source.ngens != group.ngens:
             raise ValueError("endomorphism does not act on the group")
@@ -631,12 +624,12 @@ def is_isomorphism(hom):
 def preimage(hom, y):
     """Some x with hom(x) = y in the target, or None."""
     src, tgt = hom.source, hom.target
-    stacked = [list(r) for r in hom.matrix] + [list(r) for r in tgt.relations]
+    stacked = list(hom.matrix) + list(tgt.relations)
     nrows = len(stacked)
     if nrows == 0:
         return src.zero() if tgt.is_zero(y) else None
     d, left, right = smith_normal_form(stacked)
-    z = vecmat(list(y), [list(r) for r in right])
+    z = vecmat(y, right)
     w = [0] * nrows
     for j in range(tgt.ngens):
         dj = d[j][j] if j < min(nrows, tgt.ngens) else 0
@@ -646,10 +639,5 @@ def preimage(hom, y):
             w[j] = z[j] // dj
         elif z[j]:
             return None
-    v = vecmat(w, [list(r) for r in left])
+    v = vecmat(w, left)
     return tuple(v[:src.ngens])
-
-
-def compose(outer, inner):
-    """Function form of AbHom.compose."""
-    return outer.compose(inner)

@@ -13,11 +13,10 @@ by the Witt identification; the multiplicative lift is q . n . eta.
 """
 
 from . import abgroups, mackey
-from .abgroups import AbHom, FgAbGroup
+from .abgroups import AbHom, FgAbGroup, unit_vector
 from .errors import LengthTooShort, NotApplicable, NotASubgroup
 from .mackey import MackeyFunctor, MackeyMap, box_product, divisors
-from .tambara import (GreenFunctor, GreenMap, TambaraFunctor, _unit_vec,
-                      burnside_tambara, norm_functor, split_p_part,
+from .tambara import (GreenFunctor, GreenMap, norm_functor, split_p_part,
                       zeta_green)
 
 
@@ -255,8 +254,8 @@ def hh0_via_nerve(R, p, k):
         mu_rows = []
         alpha_rows = []
         for (e, i, j) in box.symbols[d]:
-            gi = _unit_vec(nmk.level(e).ngens, i)
-            gj = _unit_vec(nmk.level(e).ngens, j)
+            gi = unit_vector(nmk.level(e).ngens, i)
+            gj = unit_vector(nmk.level(e).ngens, j)
             prod = norm_tam.green.multiply(e, gi, gj)
             mu_rows.append(nmk.tr_map(e, d).apply(prod))
             # alpha cycles the last factor to the front and twists it

@@ -14,10 +14,11 @@ presentation of the Day convolution, and geometric fixed points by the
 transfer (Brauer) quotient.
 """
 
+from math import gcd
+
 from . import abgroups
-from .abgroups import AbHom, FgAbGroup
+from .abgroups import AbHom, FgAbGroup, unit_vector
 from .errors import ActionOrderInvalid, GroupMismatch, NotASubgroup
-from .rings import is_prime
 
 
 def divisors(n):
@@ -283,12 +284,6 @@ class MackeyMap:
 # the Burnside Mackey functor
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def burnside(N):
     """Burnside Mackey functor: level[d] free on the orbits [C_d/C_e].
 
@@ -305,7 +300,7 @@ def burnside(N):
         basis_sub = divisors(dsub)
         rmat = []
         for e in basis_d:
-            g = _gcd(e, dsub)
+            g = gcd(e, dsub)
             count = d * g // (e * dsub)
             row = [0] * len(basis_sub)
             row[basis_sub.index(g)] = count
@@ -324,9 +319,7 @@ def burnside(N):
 def burnside_basis_vector(d, e):
     """Coordinate vector of the orbit [C_d/C_e] in level d."""
     basis = divisors(d)
-    vec = [0] * len(basis)
-    vec[basis.index(e)] = 1
-    return tuple(vec)
+    return unit_vector(len(basis), basis.index(e))
 
 
 # ---------------------------------------------------------------------------
@@ -366,38 +359,33 @@ def fixed_point_mackey(A, action, N):
     res is the inclusion of fixed points, tr the sum over coset
     representatives, weyl the induced generator action.
     """
+    return _fixed_point_mackey(A, action, N)[0]
+
+
+def _fixed_point_mackey(A, action, N):
+    """fixed_point_mackey together with the level inclusions into A."""
     levels, inclusions = fixed_point_levels(A, action, N)
     group = CyclicGroupSpec(N)
+    # row i of an inclusion matrix is the image of generator i in A
     res = {}
     tr = {}
     weyl = {}
     for d in group.divisors:
-        incl = inclusions[d]
-        rows = [_factor_through_inclusion(action.apply(incl.apply(g)),
-                                          incl)
-                for g in _gen_vectors(levels[d])]
+        rows = [_factor_through_inclusion(action.apply(x), inclusions[d])
+                for x in inclusions[d].matrix]
         weyl[d] = AbHom(levels[d], levels[d], rows, check=True)
     for (dsub, d) in group.covering_pairs():
-        rows = [_factor_through_inclusion(inclusions[d].apply(g),
-                                          inclusions[dsub])
-                for g in _gen_vectors(levels[d])]
+        rows = [_factor_through_inclusion(x, inclusions[dsub])
+                for x in inclusions[d].matrix]
         res[(d, dsub)] = AbHom(levels[d], levels[dsub], rows, check=True)
         trows = []
-        for g in _gen_vectors(levels[dsub]):
-            x = inclusions[dsub].apply(g)
-            acc = (0,) * A.ngens
+        for x in inclusions[dsub].matrix:
+            acc = A.zero()
             for j in range(d // dsub):
                 acc = A.add(acc, action.power((j * (N // d)) % N).apply(x))
             trows.append(_factor_through_inclusion(acc, inclusions[d]))
         tr[(dsub, d)] = AbHom(levels[dsub], levels[d], trows, check=True)
-    return MackeyFunctor(group, levels, res, tr, weyl)
-
-
-def _gen_vectors(group):
-    for i in range(group.ngens):
-        vec = [0] * group.ngens
-        vec[i] = 1
-        yield tuple(vec)
+    return MackeyFunctor(group, levels, res, tr, weyl), inclusions
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +462,6 @@ class BoxProduct(MackeyFunctor):
                         row[self._index(d, e, i, j)] += xi * yj
         return row
 
-    def _unit_vec(self, n, i):
-        v = [0] * n
-        v[i] = 1
-        return v
-
     def _relations(self, d):
         left, right = self.factors
         N = self.group.N
@@ -490,12 +473,12 @@ class BoxProduct(MackeyFunctor):
             # bilinearity against the presentations of the factors
             for rel in gl.relations:
                 for j in range(gr.ngens):
-                    row = self._expand(d, e, rel, self._unit_vec(gr.ngens, j))
+                    row = self._expand(d, e, rel, unit_vector(gr.ngens, j))
                     if any(row):
                         rels.append(row)
             for rel in gr.relations:
                 for i in range(gl.ngens):
-                    row = self._expand(d, e, self._unit_vec(gl.ngens, i), rel)
+                    row = self._expand(d, e, unit_vector(gl.ngens, i), rel)
                     if any(row):
                         rels.append(row)
             # Weyl stabilization by the generator of C_d/C_e
@@ -518,22 +501,20 @@ class BoxProduct(MackeyFunctor):
                 for i in range(left.level(esub).ngens):
                     for j in range(gr.ngens):
                         row = self._expand(d, e, trl.matrix[i],
-                                           self._unit_vec(gr.ngens, j))
-                        sub = self._expand(d, esub,
-                                           self._unit_vec(
-                                               left.level(esub).ngens, i),
-                                           rsr.matrix[j])
+                                           unit_vector(gr.ngens, j))
+                        sub = self._expand(
+                            d, esub, unit_vector(left.level(esub).ngens, i),
+                            rsr.matrix[j])
                         row = [a - b for a, b in zip(row, sub)]
                         if any(row):
                             rels.append(row)
                 for i in range(gl.ngens):
                     for j in range(right.level(esub).ngens):
-                        row = self._expand(d, e,
-                                           self._unit_vec(gl.ngens, i),
+                        row = self._expand(d, e, unit_vector(gl.ngens, i),
                                            trr.matrix[j])
-                        sub = self._expand(d, esub, rsl.matrix[i],
-                                           self._unit_vec(
-                                               right.level(esub).ngens, j))
+                        sub = self._expand(
+                            d, esub, rsl.matrix[i],
+                            unit_vector(right.level(esub).ngens, j))
                         row = [a - b for a, b in zip(row, sub)]
                         if any(row):
                             rels.append(row)
@@ -544,7 +525,7 @@ class BoxProduct(MackeyFunctor):
         left, right = self.factors
         N = self.group.N
         (e, i, j) = sym
-        g = _gcd(e, dsub)
+        g = gcd(e, dsub)
         l = e * dsub // g
         count = d // l
         rx = left.res_map(e, g).matrix[i]
@@ -552,19 +533,15 @@ class BoxProduct(MackeyFunctor):
         row = [0] * len(self.symbols[dsub])
         for t in range(count):
             shift = (t * (N // d)) % (N // g)
-            wx = abgroups.vecmat(list(rx),
-                                 [list(r) for r in
-                                  left.weyl[g].power(shift).matrix])
-            wy = abgroups.vecmat(list(ry),
-                                 [list(r) for r in
-                                  right.weyl[g].power(shift).matrix])
+            wx = abgroups.vecmat(rx, left.weyl[g].power(shift).matrix)
+            wy = abgroups.vecmat(ry, right.weyl[g].power(shift).matrix)
             part = self._expand(dsub, g, wx, wy)
             row = [a + b for a, b in zip(row, part)]
         return row
 
     def pure_tensor(self, d, e, xvec, yvec):
         """Element g_e(x (x) y) of level d, for x, y at level e | d."""
-        return tuple(self._expand(d, e, list(xvec), list(yvec)))
+        return tuple(self._expand(d, e, xvec, yvec))
 
 
 def box_product(left, right):
@@ -579,8 +556,7 @@ def box_unit_map(box, module):
         rows = []
         for (e, i, j) in box.symbols[d]:
             f = divisors(e)[i]  # the orbit [C_e/C_f]
-            y = [0] * module.level(e).ngens
-            y[j] = 1
+            y = unit_vector(module.level(e).ngens, j)
             img = module.tr_map(f, d).apply(module.res_map(e, f).apply(y))
             rows.append(img)
         comps[d] = AbHom(box.level(d), module.level(d), rows, check=True)
@@ -619,18 +595,13 @@ def box_associativity_map(left_assoc, right_assoc):
             (f, i, j) = mn.symbols[e][u]
             resp = p_fun.res_map(e, f).matrix[l]
             inner = np_box.pure_tensor(f, f,
-                                       _unit(n_fun.level(f).ngens, j), resp)
-            xvec = _unit(m_fun.level(f).ngens, i)
+                                       unit_vector(n_fun.level(f).ngens, j),
+                                       resp)
+            xvec = unit_vector(m_fun.level(f).ngens, i)
             rows.append(right_assoc.pure_tensor(d, f, xvec, inner))
         comps[d] = AbHom(left_assoc.level(d), right_assoc.level(d), rows,
                          check=True)
     return MackeyMap(left_assoc, right_assoc, comps)
-
-
-def _unit(n, i):
-    v = [0] * n
-    v[i] = 1
-    return tuple(v)
 
 
 # ---------------------------------------------------------------------------

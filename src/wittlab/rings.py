@@ -133,7 +133,7 @@ class IntPolynomial:
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
         acc = ring.zero()
-        for exps, c in sorted(self.terms.items()):
+        for exps, c in self.terms.items():
             term = ring.from_int(c)
             for v, e in zip(values, exps):
                 if e:
@@ -153,7 +153,13 @@ class IntPolynomial:
 
     @classmethod
     def from_json(cls, nvars, data):
-        return cls(nvars, {tuple(e): int(c) for c, e in data})
+        terms = {}
+        for c, e in data:
+            exps = tuple(int(x) for x in e)
+            if len(exps) != nvars or any(x < 0 for x in exps):
+                raise ValueError("malformed exponent vector %r" % (e,))
+            terms[exps] = int(c)
+        return cls(nvars, terms)
 
     def __repr__(self):
         if not self.terms:

@@ -18,26 +18,16 @@ Two input classes support the norm functor N_{C_n}^{C_{p^k n}}:
   and the internal norm the ghost-shift multiplicative transfer.
 """
 
+from math import gcd
+
 from . import abgroups
-from .abgroups import AbHom, FgAbGroup
-from .errors import (ActionOrderInvalid, GroupMismatch, NotASubgroup,
-                     PrimeDividesN, UnsupportedInput)
-from .mackey import (CyclicGroupSpec, MackeyFunctor, MackeyMap, burnside,
-                     divisors, fixed_point_levels, prime_steps, zeta)
+from .abgroups import AbHom, FgAbGroup, unit_vector
+from .errors import NotASubgroup, PrimeDividesN, UnsupportedInput
+from .mackey import (CyclicGroupSpec, MackeyFunctor, MackeyMap,
+                     _factor_through_inclusion, _fixed_point_mackey,
+                     burnside, divisors, prime_steps, zeta)
 from .rings import IntegerRing, is_prime
 from .witt import WittRing
-
-
-def _unit_vec(n, i):
-    v = [0] * n
-    v[i] = 1
-    return tuple(v)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class GreenFunctor:
@@ -99,7 +89,7 @@ class GreenFunctor:
         mk = self.mackey
         for d in mk.group.divisors:
             level = mk.level(d)
-            gens = [_unit_vec(level.ngens, i) for i in range(level.ngens)]
+            gens = [unit_vector(level.ngens, i) for i in range(level.ngens)]
             # structure constants descend to the presented quotient
             for rel in level.relations:
                 for g in gens:
@@ -133,16 +123,16 @@ class GreenFunctor:
             assert lsub.equal(r.apply(self.one[d]), self.one[dsub]), \
                 "res does not preserve the unit at (%d, %d)" % (dsub, d)
             for i in range(ld.ngens):
-                gi = _unit_vec(ld.ngens, i)
+                gi = unit_vector(ld.ngens, i)
                 for j in range(ld.ngens):
-                    gj = _unit_vec(ld.ngens, j)
+                    gj = unit_vector(ld.ngens, j)
                     assert lsub.equal(
                         r.apply(self.multiply(d, gi, gj)),
                         self.multiply(dsub, r.apply(gi), r.apply(gj))), \
                         "res is not a ring map at (%d, %d)" % (dsub, d)
                 # Frobenius reciprocity x tr(y) = tr(res(x) y), bilinear
                 for j in range(lsub.ngens):
-                    y = _unit_vec(lsub.ngens, j)
+                    y = unit_vector(lsub.ngens, j)
                     lhs = self.multiply(d, gi, t.apply(y))
                     rhs = t.apply(self.multiply(dsub, r.apply(gi), y))
                     assert ld.equal(lhs, rhs), \
@@ -249,10 +239,10 @@ class GreenMap(MackeyMap):
             n = src.level(d).ngens
             for i in range(n):
                 for j in range(n):
-                    lhs = f.apply(src.multiply(d, _unit_vec(n, i),
-                                               _unit_vec(n, j)))
-                    rhs = tgt.multiply(d, f.apply(_unit_vec(n, i)),
-                                       f.apply(_unit_vec(n, j)))
+                    lhs = f.apply(src.multiply(d, unit_vector(n, i),
+                                               unit_vector(n, j)))
+                    rhs = tgt.multiply(d, f.apply(unit_vector(n, i)),
+                                       f.apply(unit_vector(n, j)))
                     assert lt.equal(lhs, rhs), \
                         "component at level %d is not a ring map" % d
         return True
@@ -262,7 +252,7 @@ def _sample_pool(level, rng, samples):
     order = level.order()
     if order is not None and order <= 81:
         return [tuple(v) for v in level.elements()]
-    pool = [level.zero(), _unit_vec(level.ngens, 0) if level.ngens else ()]
+    pool = [level.zero(), unit_vector(level.ngens, 0) if level.ngens else ()]
     for _ in range(samples):
         pool.append(level.random_element(rng, 4))
     return pool
@@ -280,7 +270,7 @@ def _marks_table(d):
 
 
 def burnside_to_marks(d, x):
-    return tuple(abgroups.vecmat(list(x), _marks_table(d)))
+    return tuple(abgroups.vecmat(x, _marks_table(d)))
 
 
 def burnside_from_marks(d, marks):
@@ -317,14 +307,14 @@ def burnside_tambara(N):
         for a in divs:
             row = []
             for b in divs:
-                g = _gcd(a, b)
+                g = gcd(a, b)
                 count = d * g // (a * b)
                 vec = [0] * n
                 vec[divs.index(g)] = count
                 row.append(tuple(vec))
             table.append(tuple(row))
         mul[d] = tuple(table)
-        one[d] = _unit_vec(n, divs.index(d))
+        one[d] = unit_vector(n, divs.index(d))
     green = GreenFunctor(mk, mul, one)
     norms = {}
     for (dsub, d) in mk.group.covering_pairs():
@@ -340,7 +330,7 @@ def _burnside_norm_closure(dsub, d):
         marks = burnside_to_marks(dsub, x)
         out = []
         for j in divs:
-            g = _gcd(dsub, j)
+            g = gcd(dsub, j)
             exponent = (d // j) * g // dsub
             out.append(marks[sub_divs.index(g)] ** exponent)
         return burnside_from_marks(d, out)
@@ -520,10 +510,10 @@ class ActionRing:
         n = group.ngens
         for i in range(n):
             for j in range(n):
-                lhs = action.apply(self.multiply(_unit_vec(n, i),
-                                                 _unit_vec(n, j)))
-                rhs = self.multiply(action.apply(_unit_vec(n, i)),
-                                    action.apply(_unit_vec(n, j)))
+                lhs = action.apply(self.multiply(unit_vector(n, i),
+                                                 unit_vector(n, j)))
+                rhs = self.multiply(action.apply(unit_vector(n, i)),
+                                    action.apply(unit_vector(n, j)))
                 if not group.equal(lhs, rhs):
                     raise ValueError("action is not a ring automorphism")
         if not group.equal(action.apply(self.one), self.one):
@@ -570,49 +560,16 @@ def fixed_point_tambara(ring, N):
         return TambaraFunctor(green, norms, "fixed_point",
                               {"action_ring": ring, "trivial": True})
 
-    A = ring.group
-    if not ring.action.power(N).equal(AbHom.identity(A)):
-        raise ActionOrderInvalid("action order does not divide %d" % N)
-    levels, inclusions = fixed_point_levels(A, ring.action, N)
-    res = {}
-    tr = {}
-    weyl = {}
+    mk, inclusions = _fixed_point_mackey(ring.group, ring.action, N)
     mul = {}
     one = {}
     for d in group.divisors:
         incl = inclusions[d]
-        n = levels[d].ngens
-        wrows = []
-        for i in range(n):
-            img = ring.action.apply(incl.apply(_unit_vec(n, i)))
-            wrows.append(_pull_back(img, incl))
-        weyl[d] = AbHom(levels[d], levels[d], wrows, check=True)
-        table = []
-        for i in range(n):
-            row = []
-            xi = incl.apply(_unit_vec(n, i))
-            for j in range(n):
-                yj = incl.apply(_unit_vec(n, j))
-                row.append(_pull_back(ring.multiply(xi, yj), incl))
-            table.append(tuple(row))
-        mul[d] = tuple(table)
-        one[d] = _pull_back(ring.one, incl)
-    for (dsub, d) in group.covering_pairs():
-        n = levels[d].ngens
-        rrows = [_pull_back(inclusions[d].apply(_unit_vec(n, i)),
-                            inclusions[dsub]) for i in range(n)]
-        res[(d, dsub)] = AbHom(levels[d], levels[dsub], rrows, check=True)
-        m = levels[dsub].ngens
-        trows = []
-        for i in range(m):
-            x = inclusions[dsub].apply(_unit_vec(m, i))
-            acc = A.zero()
-            for j in range(d // dsub):
-                acc = A.add(acc,
-                            ring.action.power((j * (N // d)) % N).apply(x))
-            trows.append(_pull_back(acc, inclusions[d]))
-        tr[(dsub, d)] = AbHom(levels[dsub], levels[d], trows, check=True)
-    mk = MackeyFunctor(group, levels, res, tr, weyl)
+        mul[d] = tuple(
+            tuple(_factor_through_inclusion(ring.multiply(x, y), incl)
+                  for y in incl.matrix)
+            for x in incl.matrix)
+        one[d] = _factor_through_inclusion(ring.one, incl)
     green = GreenFunctor(mk, mul, one)
     norms = {}
     for (dsub, d) in group.covering_pairs():
@@ -620,13 +577,6 @@ def fixed_point_tambara(ring, N):
             ring, inclusions, N, dsub, d)
     return TambaraFunctor(green, norms, "fixed_point",
                           {"action_ring": ring, "trivial": False})
-
-
-def _pull_back(vec, incl):
-    pre = abgroups.preimage(incl, vec)
-    if pre is None:
-        raise AssertionError("value does not land in the fixed subring")
-    return pre
 
 
 def _power_norm_closure(green, level_d, dsub, index):
@@ -642,7 +592,7 @@ def _orbit_product_norm_closure(ring, inclusions, N, dsub, d):
         for j in range(d // dsub):
             acc = ring.multiply(
                 acc, ring.action.power((j * (N // d)) % N).apply(lifted))
-        return _pull_back(acc, inclusions[d])
+        return _factor_through_inclusion(acc, inclusions[d])
     return norm
 
 
@@ -775,8 +725,3 @@ def green_from_json(data):
            for d, table in data["mul"].items()}
     one = {int(d): tuple(v) for d, v in data["one"].items()}
     return GreenFunctor(mk, mul, one)
-
-
-def internal_norm(T, x, d_from, d_to):
-    """Function form of TambaraFunctor.internal_norm."""
-    return T.internal_norm(x, d_from, d_to)

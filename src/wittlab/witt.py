@@ -135,11 +135,16 @@ class UniversalWittPolynomials:
         p, k = data["p"], data["k"]
         object.__setattr__(obj, "p", p)
         object.__setattr__(obj, "k", k)
-        for field, nvars in (("sums", 2 * k), ("products", 2 * k),
-                             ("negations", k), ("frobenius", k),
-                             ("norms", k)):
+        for field, nvars, count in (("sums", 2 * k, k),
+                                    ("products", 2 * k, k),
+                                    ("negations", k, k),
+                                    ("frobenius", k, k - 1),
+                                    ("norms", k, k + 1)):
             polys = tuple(IntPolynomial.from_json(nvars, item)
                           for item in data[field])
+            if len(polys) != count:
+                raise ValueError("%s: expected %d polynomials, got %d"
+                                 % (field, count, len(polys)))
             object.__setattr__(obj, field, polys)
         return obj
 
@@ -174,13 +179,21 @@ def _cache_path(p, k):
 
 
 def _load_from_disk(p, k):
+    """The cached family for exactly (p, k), or None.
+
+    A missing file, a malformed one, or one written for another (p, k)
+    is a miss, and the caller rebuilds.
+    """
     path = _cache_path(p, k)
     if not path or not os.path.exists(path):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return UniversalWittPolynomials.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError):
+            data = json.load(fh)
+        if (data["p"], data["k"]) != (p, k):
+            return None
+        return UniversalWittPolynomials.from_json(data)
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 

@@ -19,14 +19,14 @@ pro-differential graded ring and feeds the classical checker.
 import warnings
 
 from . import abgroups, mackey
-from .abgroups import AbHom, FgAbGroup
+from .abgroups import AbHom, FgAbGroup, unit_vector
 from .errors import (EvenPrime, MalformedData, NotApplicable,
                      PrimeDividesN)
 from .eqwitt import (equivariant_witt, multiplicative_lift,
                      multiplicative_order, restriction_r)
 from .mackey import MackeyFunctor, divisors
 from .rings import IntegerRing, is_prime
-from .tambara import (GreenFunctor, _unit_vec, burnside_from_marks,
+from .tambara import (GreenFunctor, burnside_from_marks,
                       present_witt_ring, restrict_green)
 from .witt import WittRing
 
@@ -421,9 +421,9 @@ def _axiom_leibniz(data):
             level = tower.level(0, d)
             dd = data.differential(s, 0, d)
             for i in range(level.ngens):
-                x = _unit_vec(level.ngens, i)
+                x = unit_vector(level.ngens, i)
                 for j in range(level.ngens):
-                    y = _unit_vec(level.ngens, j)
+                    y = unit_vector(level.ngens, j)
                     lhs = dd.apply(tower.multiply(d, 0, x, 0, y))
                     rhs = tower.level(1, d).add(
                         tower.multiply(d, 1, dd.apply(x), 0, y),
@@ -659,9 +659,9 @@ def _cl_leibniz(cdata):
         level = cdata.level(s, 0)
         dd = cdata.differential(s, 0)
         for i in range(level.ngens):
-            x = _unit_vec(level.ngens, i)
+            x = unit_vector(level.ngens, i)
             for j in range(level.ngens):
-                y = _unit_vec(level.ngens, j)
+                y = unit_vector(level.ngens, j)
                 lhs = dd.apply(cdata.multiply(s, 0, x, 0, y))
                 rhs = cdata.level(s, 1).add(
                     cdata.multiply(s, 1, dd.apply(x), 0, y),
@@ -751,9 +751,9 @@ def _cl_module(cdata):
         top = cdata.level(s + 1, 0)
         low = cdata.level(s, 0)
         for i in range(top.ngens):
-            x = _unit_vec(top.ngens, i)
+            x = unit_vector(top.ngens, i)
             for j in range(low.ngens):
-                y = _unit_vec(low.ngens, j)
+                y = unit_vector(low.ngens, j)
                 lhs = cdata.multiply(s + 1, 0, x, 0,
                                      cdata.V[s][0].apply(y))
                 rhs = cdata.V[s][0].apply(

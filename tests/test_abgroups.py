@@ -1,16 +1,17 @@
 """Tests for the exact integer linear algebra layer."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittlab.abgroups import (AbHom, FgAbGroup, cokernel, determinant,
-                              direct_sum, image, is_isomorphism, kernel,
-                              matmul, preimage,
-                              quotient_by_endomorphism_family,
+from wittlab.abgroups import (AbHom, FgAbGroup, _smith, cokernel,
+                              determinant, direct_sum, identity_matrix,
+                              image, is_isomorphism, kernel, matmul,
+                              preimage, quotient_by_endomorphism_family,
                               smith_normal_form, tensor)
 
 
@@ -58,11 +59,13 @@ class TestSmithNormalForm:
     @given(matrices)
     def test_transform_identity_and_chain(self, m):
         d, left, right = smith_normal_form(m)
-        product = matmul(matmul([list(r) for r in left], m),
-                         [list(r) for r in right])
-        assert [list(r) for r in d] == product
-        assert determinant([list(r) for r in left]) in (1, -1)
-        assert determinant([list(r) for r in right]) in (1, -1)
+        assert matmul(matmul(left, m), right) == [list(r) for r in d]
+        assert determinant(left) in (1, -1)
+        assert determinant(right) in (1, -1)
+        # the inverse carried by the elimination inverts the right transform
+        right_inv = _smith(m)[3]
+        assert matmul(right, right_inv) == identity_matrix(len(right))
+        assert matmul(right_inv, right) == identity_matrix(len(right))
         diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
         for a, b in zip(diag, diag[1:]):
             if b:
@@ -86,6 +89,23 @@ class TestSmithNormalForm:
         expected = invariant_factors_by_minor_gcd(m)
         assert [x for x in diag if x] == expected
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda r: st.integers(min_value=1, max_value=8).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(min_value=-9, max_value=9),
+                         min_size=c, max_size=c),
+                min_size=r, max_size=r))))
+    def test_against_sympy_invariant_factors(self, m):
+        # up to 8 x 8, where the minor-gcd oracle is too slow
+        sympy = pytest.importorskip("sympy")
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        d, _, _ = smith_normal_form(m)
+        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+        expected = normalforms.invariant_factors(sympy.Matrix(m),
+                                                 domain=sympy.ZZ)
+        assert diag == [abs(int(x)) for x in expected]
+
 
 class TestFgAbGroup:
     def test_invariant_factor_normalization(self):
@@ -105,6 +125,30 @@ class TestFgAbGroup:
         assert len(elems) == g.order() == 6
         canon = {g.canonical(e) for e in elems}
         assert len(canon) == 6
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(min_value=1, max_value=4),
+                     min_size=n, max_size=n),
+            st.lists(st.lists(st.integers(min_value=-6, max_value=6),
+                              min_size=n, max_size=n),
+                     max_size=4))))
+    def test_elements_are_distinct_and_exhaustive(self, data):
+        # c_i e_i rows make the presentation finite; the rest mix it up
+        bounds, extra = data
+        n = len(bounds)
+        rels = [[c if j == i else 0 for j in range(n)]
+                for i, c in enumerate(bounds)] + extra
+        rng = random.Random(sum(bounds))
+        rng.shuffle(rels)
+        g = FgAbGroup(n, rels)
+        elems = list(g.elements())
+        assert len(elems) == g.order()
+        canon = [g.canonical(e) for e in elems]
+        assert len(set(canon)) == g.order()
+        # enumeration runs over canonical coordinates in lexicographic order
+        assert canon == list(product(*(range(d) for d in g._dvec)))
 
     def test_free_group_infinite(self):
         assert FgAbGroup.free(2).order() is None

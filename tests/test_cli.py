@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import wittlab.witt as wittmod
 from wittlab.cli import family_to_json, main, witt_complex_from_json
 from wittlab.mackey import burnside
 from wittlab.rings import ModularRing
@@ -59,6 +60,57 @@ class TestClassical:
                                     "ghost", "--x", "5"])
         assert code == 0
         assert "ghost" in out
+
+
+ADD_P3_K2 = ["classical", "--p", "3", "--k", "2", "--ring", "Z",
+             "--op", "add", "--x", "1,0", "--y", "1,0"]
+
+
+class TestPolynomialDiskCache:
+    """A cache file that does not hold the family asked for is a miss."""
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(wittmod, "_POLY_CACHE", {})
+        return tmp_path
+
+    def check_add_p3_k2(self, capsys, cache_dir):
+        wittmod._POLY_CACHE.clear()
+        code, out, _ = run(capsys, ADD_P3_K2)
+        assert code == 0
+        assert json.loads(out)["coords"] == [2, -2]
+        # the miss was rebuilt and written back over the bad file
+        stored = json.loads((cache_dir / "witt-polys-p3-k2.json").read_text())
+        assert stored == wittmod.UniversalWittPolynomials(3, 2).to_json()
+
+    def test_file_for_other_p_is_rebuilt(self, capsys, cache_dir):
+        code, _, _ = run(capsys, ["classical", "--p", "2", "--k", "2",
+                                  "--ring", "Z", "--op", "add",
+                                  "--x", "1,0", "--y", "1,0"])
+        assert code == 0
+        written = cache_dir / "witt-polys-p2-k2.json"
+        (cache_dir / "witt-polys-p3-k2.json").write_text(written.read_text())
+        self.check_add_p3_k2(capsys, cache_dir)
+
+    @pytest.mark.parametrize("content", [
+        "[1, 2]", '"polys"', "7", "{", '{"p": 3, "k": 2}'])
+    def test_malformed_file_is_rebuilt(self, capsys, cache_dir, content):
+        (cache_dir / "witt-polys-p3-k2.json").write_text(content)
+        self.check_add_p3_k2(capsys, cache_dir)
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data["sums"].pop(),
+        lambda data: data["sums"][0][0][1].append(0),
+        lambda data: data["sums"][1][0].__setitem__(1, [-1, 0, 0, 0]),
+        lambda data: data.update(k=3),
+    ], ids=["missing-poly", "long-exponents", "negative-exponent", "k"])
+    def test_damaged_family_is_rebuilt(self, capsys, cache_dir, damage):
+        path = cache_dir / "witt-polys-p3-k2.json"
+        data = wittmod.UniversalWittPolynomials(3, 2).to_json()
+        damage(data)
+        path.write_text(json.dumps(data))
+        self.check_add_p3_k2(capsys, cache_dir)
 
 
 class TestMackeyAndBox:

@@ -11,7 +11,8 @@ from itertools import product as iproduct
 import pytest
 
 from wittlab.abgroups import AbHom, FgAbGroup
-from wittlab.errors import NotASubgroup, PrimeDividesN, UnsupportedInput
+from wittlab.errors import (ActionOrderInvalid, NotASubgroup, PrimeDividesN,
+                            UnsupportedInput)
 from wittlab.mackey import box_product, divisors
 from wittlab.rings import IntegerRing, ModularRing
 from wittlab.tambara import (ActionRing, burnside_from_marks,
@@ -162,6 +163,14 @@ class TestFixedPointTambara:
             t = constant_tambara(spec, n)
             t.green.validate_green(rng)
             t.validate_tambara(rng)
+
+    def test_action_order_must_divide_n(self):
+        z2 = FgAbGroup.free(2)
+        swap = AbHom(z2, z2, [[0, 1], [1, 0]])
+        ring = ActionRing(z2, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]],
+                          (1, 1), swap)
+        with pytest.raises(ActionOrderInvalid):
+            fixed_point_tambara(ring, 3)
 
     def test_action_must_be_ring_automorphism(self):
         z = FgAbGroup.free(1)
