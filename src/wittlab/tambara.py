@@ -16,6 +16,10 @@ Two input classes support the norm functor N_{C_n}^{C_{p^k n}}:
   classical Witt tower: level p^q m carries W_{q+1}(A), restriction in
   the p-direction is the Witt Frobenius, transfer the Verschiebung,
   and the internal norm the ghost-shift multiplicative transfer.
+
+Each W_k(A), A = Z or Z/m, is presented on the basis V^j(1), j < k;
+its encode and decode are integer arithmetic on ghost vectors over Z
+(``present_witt_ring``).  The base ring itself is cyclic on 1.
 """
 
 from math import gcd
@@ -26,8 +30,8 @@ from .errors import NotASubgroup, PrimeDividesN, UnsupportedInput
 from .mackey import (CyclicGroupSpec, MackeyFunctor, MackeyMap,
                      _factor_through_inclusion, _fixed_point_mackey,
                      burnside, divisors, prime_steps, zeta)
-from .rings import IntegerRing, is_prime
-from .witt import WittRing
+from .rings import IntegerRing, ModularRing, is_prime
+from .witt import WittRing, witt_from_ghost_over_z
 
 
 class GreenFunctor:
@@ -361,133 +365,69 @@ class PresentedRing:
         self.one = tuple(encode(ops.one()))
 
 
-def present_finite_ring(ops, elements, key):
-    """Minimal-ish presentation of a finite ring by BFS over sums.
-
-    Generators are chosen greedily by maximal additive order; the
-    spanning-tree edge relations of the Cayley graph present the group.
-    """
-    zero = ops.zero()
-    n = len(elements)
-    orders = []
-    for el in elements:
-        acc = el
-        o = 1
-        while not ops.eq(acc, zero):
-            acc = ops.add(acc, el)
-            o += 1
-        orders.append(o)
-    gens = []
-    rep = {key(zero): ()}
-    by_key = {key(zero): zero}
-    while len(rep) < n:
-        cand = None
-        for idx, el in enumerate(elements):
-            if key(el) not in rep and (cand is None
-                                       or orders[idx] > orders[cand]):
-                cand = idx
-        gens.append(elements[cand])
-        g = len(gens)
-        rep = {key(zero): (0,) * g}
-        by_key = {key(zero): zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                vx = rep[key(x)]
-                for i, gen in enumerate(gens):
-                    y = ops.add(x, gen)
-                    ky = key(y)
-                    if ky not in rep:
-                        vy = list(vx)
-                        vy[i] += 1
-                        rep[ky] = tuple(vy)
-                        by_key[ky] = y
-                        nxt.append(y)
-            frontier = nxt
-    rels = []
-    for el in elements:
-        v = rep[key(el)]
-        for i, gen in enumerate(gens):
-            w = rep[key(ops.add(el, gen))]
-            row = [a - b for a, b in zip(v, w)]
-            row[i] += 1
-            if any(row):
-                rels.append(row)
-    group = FgAbGroup(len(gens), rels)
-    assert group.order() == n, "presentation does not match the carrier"
-    decode_table = {group.canonical(rep[key(el)]): el for el in elements}
-
-    def encode(el):
-        return rep[key(el)]
-
-    def decode(vec):
-        return decode_table[group.canonical(tuple(vec))]
-
-    return PresentedRing(ops, group, gens, encode, decode)
-
-
-def present_integer_witt(wr):
-    """Free presentation of W_k(Z) on the basis V^j(unit).
-
-    The coordinate change is triangular: peeling the top Witt
-    coordinate and subtracting that multiple of the unit leaves a
-    vector in the image of V, so encoding terminates in k steps.
-    """
-    k = wr.k
-    towers = [WittRing(wr.p, l, wr.ring) for l in range(1, k + 1)]
-    group = FgAbGroup.free(k)
-    basis = []
-    for j in range(k):
-        coords = [0] * k
-        coords[j] = 1
-        basis.append(wr.vector(coords))
-
-    def decode(vec):
-        acc = wr.zero()
-        for j, c in enumerate(vec):
-            if c:
-                acc = wr.add(acc, wr.scalar_mul(c, basis[j]))
-        return acc
-
-    def encode(w):
-        out = []
-        cur = w
-        for j in range(k):
-            length = k - j
-            ring = towers[length - 1]
-            c = cur.coords[0]
-            out.append(c)
-            if length == 1:
-                break
-            diff = ring.sub(cur, ring.scalar_mul(c, ring.one()))
-            cur = towers[length - 2].vector(diff.coords[1:])
-        return tuple(out)
-
-    return PresentedRing(wr, group, basis, encode, decode)
+def _modulus(spec):
+    """m for the carrier Z/m, 0 for Z; other carriers are unsupported."""
+    if isinstance(spec, ModularRing):
+        return spec.modulus
+    if isinstance(spec, IntegerRing):
+        return 0
+    raise UnsupportedInput("no presentation for the ring %s" % spec.name)
 
 
 def present_witt_ring(wr):
-    if wr.ring.is_finite:
-        elements = list(wr.elements())
-        return present_finite_ring(wr, elements,
-                                   key=lambda w: tuple(w.coords))
-    if isinstance(wr.ring, IntegerRing):
-        return present_integer_witt(wr)
-    raise UnsupportedInput(
-        "no presentation for Witt vectors over %s" % wr.ring.name)
+    """Present W_k(A), A = Z or Z/m, on the basis V^j(1), j < k.
+
+    Both directions are plain integer arithmetic on ghost vectors over
+    Z, where ghost(V^j(1))_n = p^j for n >= j.  Decoding c solves the
+    ghost vector (sum_{j<=n} c_j p^j)_n; encoding lifts the coordinates
+    to Z and reads c_n = (w_n - w_{n-1}) / p^n off the ghost vector,
+    exact by Dwork's lemma.  Over Z/m the relations m e_j -
+    encode(m V^j(1)) are triangular with diagonal m, so their index
+    m^k is the order of W_k(Z/m); encode reduces each c_j into [0, m)
+    along them, low index first.
+    """
+    p, k, m = wr.p, wr.k, _modulus(wr.ring)
+
+    def decode(vec):
+        ghost = []
+        acc = 0
+        for j, c in enumerate(vec):
+            acc += c * p ** j
+            ghost.append(acc)
+        return wr.vector(witt_from_ghost_over_z(p, ghost))
+
+    def encode(w):
+        out = []
+        prev = 0
+        for n in range(k):
+            g = sum(p ** i * w.coords[i] ** p ** (n - i)
+                    for i in range(n + 1))
+            out.append((g - prev) // p ** n)
+            prev = g
+        for j, row in enumerate(rels):
+            q = out[j] // m
+            if q:
+                out = [a - q * b for a, b in zip(out, row)]
+        return tuple(out)
+
+    # m V^j(1) = V^j(m) has zero coordinates up to j, so encoding it
+    # reads no row at or below j: build the rows from the top down
+    rels = [None] * k if m else []
+    for j in reversed(range(len(rels))):
+        row = [-c for c in encode(decode([m if i == j else 0
+                                          for i in range(k)]))]
+        row[j] += m
+        rels[j] = row
+    gens = [wr.vector(unit_vector(k, j)) for j in range(k)]
+    return PresentedRing(wr, FgAbGroup(k, rels), gens, encode, decode)
 
 
 def present_ring_spec(spec):
-    """Present a plain ring carrier, elements as themselves."""
-    if spec.is_finite:
-        return present_finite_ring(spec, list(spec.elements()),
-                                   key=lambda x: x)
-    if isinstance(spec, IntegerRing):
-        group = FgAbGroup.free(1)
-        return PresentedRing(spec, group, [1],
-                             lambda x: (x,), lambda v: v[0])
-    raise UnsupportedInput("no presentation for the ring %s" % spec.name)
+    """Present Z or Z/m as cyclic on 1, elements as themselves."""
+    m = _modulus(spec)
+    group = FgAbGroup(1, [[m]]) if m else FgAbGroup.free(1)
+    return PresentedRing(spec, group, [spec.one()],
+                         lambda x: (x,), lambda v: spec.from_int(v[0]))
 
 
 # ---------------------------------------------------------------------------

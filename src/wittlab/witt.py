@@ -420,8 +420,11 @@ def teichmuller_lift(ring, p, a, k):
 def witt_from_ghost_over_z(p, ghost):
     """Recover integer Witt coordinates from an integral ghost vector.
 
-    Used as an independent oracle: it solves the triangular system
-    directly instead of evaluating the cached universal polynomials.
+    It solves the triangular system directly instead of evaluating the
+    cached universal polynomials, so the tests use it as an independent
+    oracle for the polynomial arithmetic.  At runtime it decodes
+    presented Witt rings (``tambara.present_witt_ring``), whose
+    coordinates in the basis V^j(1) have an integer ghost vector.
     Raises ArithmeticError when the ghost vector is not in the image.
     """
     coords = []

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import wittlab.witt as wittmod
+from wittlab.abgroups import FgAbGroup
 from wittlab.cli import family_to_json, main, witt_complex_from_json
 from wittlab.mackey import burnside
 from wittlab.rings import ModularRing
@@ -176,10 +177,15 @@ class TestEqwitt:
                                     "--p", "3", "--k", "1"])
         assert code == 0
         data = json.loads(out)
-        assert data["levels"]["C6/C3"]["invariant_factors"] == [9]
+        level_json = data["levels"]["C6/C3"]
+        assert level_json["invariant_factors"] == [9]
+        # lift outputs are coordinates in the basis V^j(1); compare them
+        # as elements of the level, a copy of Z/9 generated by 1
+        level = FgAbGroup(level_json["ngens"], level_json["relations"])
         lifts = {tuple(e["input"]): e["output"] for e in data["lift"]["1"]}
-        assert lifts[(0,)] == [0]
-        assert lifts[(1,)] == [1]
+        for a, c in ((0, 0), (1, 1), (2, -1)):
+            expected = [c] + [0] * (level.ngens - 1)
+            assert level.canonical(lifts[(a,)]) == level.canonical(expected)
 
     def test_oracle_flag(self, capsys):
         code, out, _ = run(capsys, ["eqwitt", "--ring", "F3", "--n", "2",

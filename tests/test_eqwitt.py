@@ -136,6 +136,13 @@ class TestClassicalComparison:
             seen.add(w.level(3 ** k).canonical(pres.encode(x)))
         assert len(seen) == modulus ** (k + 1)
 
+    @pytest.mark.parametrize("p, kmax", [(3, 3), (2, 4)])
+    def test_prime_field_top_level_is_cyclic(self, p, kmax):
+        # W_{C_{p^k}}(F_p) has top level W_{k+1}(F_p) = Z/p^{k+1}
+        for k in range(kmax + 1):
+            w = equivariant_witt(constant_tambara(ModularRing(p), 1), p, k)
+            assert w.level(p ** k).invariant_factors == (p ** (k + 1),)
+
     @pytest.mark.parametrize("modulus", [3, 4])
     def test_operators_match(self, modulus):
         spec = ModularRing(modulus)
@@ -255,6 +262,7 @@ class TestNerveOracle:
             (constant_tambara(ModularRing(3), 2), 3, 1),
             (constant_tambara(ModularRing(3), 1), 3, 1),
             (constant_tambara(ModularRing(3), 1), 3, 2),
+            (constant_tambara(ModularRing(3), 1), 3, 3),
         ]
         for base, p, k in cases:
             comparison = nerve_comparison(base, p, k)

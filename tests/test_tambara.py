@@ -14,13 +14,12 @@ from wittlab.abgroups import AbHom, FgAbGroup
 from wittlab.errors import (ActionOrderInvalid, NotASubgroup, PrimeDividesN,
                             UnsupportedInput)
 from wittlab.mackey import box_product, divisors
-from wittlab.rings import IntegerRing, ModularRing
+from wittlab.rings import IntegerRing, ModularRing, PolynomialRing
 from wittlab.tambara import (ActionRing, burnside_from_marks,
                              burnside_tambara, burnside_to_marks,
                              constant_tambara, fixed_point_tambara,
                              green_from_json, norm_functor,
-                             present_integer_witt, present_witt_ring,
-                             zeta_green)
+                             present_witt_ring, zeta_green)
 from wittlab.witt import WittRing
 
 
@@ -252,16 +251,50 @@ class TestNormFunctor:
 
 
 class TestPresentations:
-    def test_finite_witt_presentation_faithful(self):
-        wr = WittRing(3, 2, ModularRing(4))
+    # invariant factors recorded from the enumerating (BFS) presenter
+    # that the V^j(1) presentation replaced
+    @pytest.mark.parametrize("p, k, m, factors", [
+        pytest.param(3, 2, 4, (4, 4), id="p3-k2-m4"),
+        pytest.param(3, 3, 3, (27,), id="p3-k3-m3"),
+        pytest.param(2, 3, 4, (2, 2, 16), id="p2-k3-m4"),
+        pytest.param(2, 2, 6, (3, 12), id="p2-k2-m6"),
+        pytest.param(5, 2, 6, (6, 6), id="p5-k2-m6"),
+        pytest.param(3, 2, 9, (3, 27), id="p3-k2-m9"),
+        pytest.param(3, 2, 1, (), id="p3-k2-m1"),
+    ])
+    def test_finite_witt_presentation_faithful(self, p, k, m, factors):
+        # the universal polynomials behind wr.add/wr.mul are the oracle
+        # for the ghost-vector encoder
+        wr = WittRing(p, k, ModularRing(m))
         pres = present_witt_ring(wr)
-        assert pres.group.order() == 16
-        for x in wr.elements():
-            assert wr.eq(pres.decode(pres.encode(x)), x)
+        group = pres.group
+        assert group.order() == m ** k
+        assert group.invariant_factors == factors
+        ring = ActionRing(group, pres.mul, pres.one, AbHom.identity(group))
+        elements = list(wr.elements())
+        codes = [pres.encode(x) for x in elements]
+        assert len({group.canonical(c) for c in codes}) == len(elements)
+        for x, cx in zip(elements, codes):
+            assert wr.eq(pres.decode(cx), x)
+            for y, cy in zip(elements, codes):
+                assert group.equal(pres.encode(wr.add(x, y)),
+                                   group.add(cx, cy))
+                assert group.equal(pres.encode(wr.mul(x, y)),
+                                   ring.multiply(cx, cy))
+
+    def test_f3_relations_are_triangular(self):
+        pres = present_witt_ring(WittRing(3, 3, ModularRing(3)))
+        assert pres.group.relations == ((3, -1, 0), (0, 3, -1), (0, 0, 3))
+
+    def test_unsupported_carrier(self):
+        with pytest.raises(UnsupportedInput):
+            present_witt_ring(WittRing(3, 2, PolynomialRing(1)))
+        with pytest.raises(UnsupportedInput):
+            constant_tambara(PolynomialRing(1), 1)
 
     def test_integer_witt_presentation(self):
         wr = WittRing(3, 3, IntegerRing())
-        pres = present_integer_witt(wr)
+        pres = present_witt_ring(wr)
         rng = random.Random(6)
         for _ in range(20):
             x = wr.vector([rng.randint(-9, 9) for _ in range(3)])
