@@ -16,9 +16,10 @@ from .eqwitt import (EquivariantWittFunctor, check_lift_power,
                      restriction_r)
 from .errors import (ActionOrderInvalid, EvenPrime,
                      InternalIntegralityFailure, GroupMismatch,
-                     LengthMismatch, LengthTooShort, MalformedData,
-                     NotApplicable, NotASubgroup, ParamsMismatch,
-                     PrimeDividesN, UnsupportedInput, WittlabError)
+                     LengthMismatch, LengthTooShort, MackeyAxiomFailure,
+                     MalformedData, NotApplicable, NotASubgroup,
+                     ParamsMismatch, PrimeDividesN, UnsupportedInput,
+                     WittlabError)
 from .mackey import (BoxProduct, CyclicGroupSpec, MackeyFunctor, MackeyMap,
                      box_product, burnside, fixed_point_mackey,
                      geometric_fixed_points, restrict_to_subgroup,

@@ -12,6 +12,15 @@ generators needs no second pass.  Everything runs on Python's
 arbitrary-precision integers: there is no floating point anywhere, and
 no rational arithmetic outside ``determinant``, which is kept as a
 test oracle.
+
+The pivot is the first entry of least absolute value in row-major order
+of the trailing block; the search stops at the first unit.  Relation
+matrices (box products above all) are tall, sparse and full of units,
+so the elimination touches only non-zero entries: row operations run
+over the support of the pivot row, column operations over the rows that
+are non-zero in the pivot column, and a unit pivot skips the
+divisibility-chain scan.  None of this changes the transforms.  Group
+builds discard the left transform, so they do not build it.
 """
 
 from fractions import Fraction
@@ -108,36 +117,30 @@ def _frozen(m):
     return tuple(tuple(row) for row in m)
 
 
-def _smith(m):
+def _smith(m, with_left=True):
     """Smith normal form as lists ``(d, left, right, right_inv)``.
 
     ``right_inv`` is the inverse of ``right``: every column operation on
     ``right`` is matched by its inverse row operation on ``right_inv``.
+    With ``with_left=False`` the left transform is not built and comes
+    back as ``None``; the other three results are the same.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     a = [[int(x) for x in row] for row in m]
-    left = identity_matrix(nrows)
+    left = identity_matrix(nrows) if with_left else None
     right = identity_matrix(ncols)
     right_inv = identity_matrix(ncols)
     t = 0
     while t < min(nrows, ncols):
-        # pivot on the smallest nonzero entry of the trailing block
-        pivot = None
-        best = 0
-        for i in range(t, nrows):
-            row = a[i]
-            for j in range(t, ncols):
-                v = row[j]
-                if v and (pivot is None or abs(v) < best):
-                    pivot = (i, j)
-                    best = abs(v)
+        pivot = _pivot(a, t)
         if pivot is None:
             break
         pi, pj = pivot
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            left[t], left[pi] = left[pi], left[t]
+            if with_left:
+                left[t], left[pi] = left[pi], left[t]
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
@@ -146,45 +149,91 @@ def _smith(m):
             right_inv[t], right_inv[pj] = right_inv[pj], right_inv[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            left[t] = [-x for x in left[t]]
-        piv = a[t][t]
+            if with_left:
+                left[t] = [-x for x in left[t]]
+        prow = a[t]
+        piv = prow[t]
+        pcols = _support(prow)
+        lrow = left[t] if with_left else None
+        lcols = _support(lrow) if with_left else ()
         dirty = False
         for i in range(t + 1, nrows):
-            q = a[i][t] // piv
+            row = a[i]
+            q = row[t] // piv
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                left[i] = [x - q * y for x, y in zip(left[i], left[t])]
-            if a[i][t]:
+                for k in pcols:
+                    row[k] -= q * prow[k]
+                if with_left:
+                    lrow_i = left[i]
+                    for k in lcols:
+                        lrow_i[k] -= q * lrow[k]
+            if row[t]:
                 dirty = True
+        # column operations leave column t alone, so only the rows that
+        # are non-zero there ever change
+        a_rows = [row for row in a if row[t]]
+        right_rows = [row for row in right if row[t]]
         for j in range(t + 1, ncols):
-            q = a[t][j] // piv
+            q = prow[j] // piv
             if q:
-                for row in a:
+                for row in a_rows:
                     row[j] -= q * row[t]
-                for row in right:
+                for row in right_rows:
                     row[j] -= q * row[t]
                 # col_j -= q col_t is undone by row_t += q row_j
                 right_inv[t] = [x + q * y for x, y
                                 in zip(right_inv[t], right_inv[j])]
-            if a[t][j]:
+            if prow[j]:
                 dirty = True
         if dirty:
             continue  # leftover remainders are smaller than piv; repick
-        # enforce the divisibility chain before advancing
+        # enforce the divisibility chain before advancing; every entry
+        # is divisible by a unit pivot
         fold = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % piv:
-                    fold = i
+        if piv != 1:
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if a[i][j] % piv:
+                        fold = i
+                        break
+                if fold is not None:
                     break
-            if fold is not None:
-                break
         if fold is not None:
             a[t] = [x + y for x, y in zip(a[t], a[fold])]
-            left[t] = [x + y for x, y in zip(left[t], left[fold])]
+            if with_left:
+                left[t] = [x + y for x, y in zip(left[t], left[fold])]
             continue
         t += 1
     return a, left, right, right_inv
+
+
+def _pivot(a, t):
+    """Position of the first entry of least absolute value in the
+    trailing block from (t, t), in row-major order, or None if the
+    block is zero.
+
+    Rows from t on are zero left of column t, so whole rows can be
+    searched.  A unit is the least possible value, so the first row
+    holding one decides the pivot without looking further.
+    """
+    rows = range(t, len(a))
+    for i in rows:
+        row = a[i]
+        if 1 in row or -1 in row:
+            return i, min(row.index(u) for u in (1, -1) if u in row)
+    pivot = None
+    best = 0
+    for i in rows:
+        for j, v in enumerate(a[i]):
+            if v and (pivot is None or abs(v) < best):
+                pivot = (i, j)
+                best = abs(v)
+    return pivot
+
+
+def _support(row):
+    """Indices of the non-zero entries of a row."""
+    return [k for k, x in enumerate(row) if x]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +265,7 @@ class FgAbGroup:
         object.__setattr__(self, "ngens", ngens)
         object.__setattr__(self, "relations", rel)
         if rel:
-            d, _left, right, rinv = _smith(rel)
+            d, _left, right, rinv = _smith(rel, with_left=False)
             dvec = [d[i][i] if i < len(rel) else 0 for i in range(ngens)]
         else:
             right = rinv = identity_matrix(ngens)

@@ -31,6 +31,11 @@ class NotASubgroup(WittlabError):
     """A divisor argument does not define a subgroup in context."""
 
 
+class MackeyAxiomFailure(WittlabError):
+    """A Mackey functor or a map of Mackey functors breaks one of the
+    Mackey axioms; the message names the axiom and where it fails."""
+
+
 class ActionOrderInvalid(WittlabError):
     """A group action whose order does not divide the group order."""
 

@@ -18,7 +18,8 @@ from math import gcd
 
 from . import abgroups
 from .abgroups import AbHom, FgAbGroup, unit_vector
-from .errors import ActionOrderInvalid, GroupMismatch, NotASubgroup
+from .errors import (ActionOrderInvalid, GroupMismatch, MackeyAxiomFailure,
+                     NotASubgroup)
 
 
 def divisors(n):
@@ -159,24 +160,30 @@ class MackeyFunctor:
     # -- invariant suite
 
     def validate(self):
-        """Check the full Mackey invariant suite; raises AssertionError."""
+        """Check the full Mackey invariant suite.
+
+        Raises MackeyAxiomFailure naming the first law that fails.
+        """
         N = self.N
         for d in self.group.divisors:
             w = self.weyl[d]
-            assert abgroups.is_isomorphism(w), "weyl[%d] not invertible" % d
-            assert w.power(N // d).equal(AbHom.identity(self.level(d))), \
-                "weyl[%d] does not have order dividing %d" % (d, N // d)
+            _require(abgroups.is_isomorphism(w),
+                     "weyl[%d] not invertible" % d)
+            _require(w.power(N // d).equal(AbHom.identity(self.level(d))),
+                     "weyl[%d] does not have order dividing %d"
+                     % (d, N // d))
         for (dsub, d) in self.group.covering_pairs():
             r = self.res[(d, dsub)]
             t = self.tr[(dsub, d)]
-            assert r.compose(self.weyl[d]).equal(
-                self.weyl[dsub].compose(r)), \
-                "res and weyl do not commute at (%d, %d)" % (dsub, d)
-            assert self.weyl[d].compose(t).equal(
-                t.compose(self.weyl[dsub])), \
-                "tr and weyl do not commute at (%d, %d)" % (dsub, d)
-            assert t.compose(self.weyl[dsub].power(N // d)).equal(t), \
-                "transfer does not coequalize the Weyl action at %d" % d
+            _require(r.compose(self.weyl[d]).equal(
+                self.weyl[dsub].compose(r)),
+                "res and weyl do not commute at (%d, %d)" % (dsub, d))
+            _require(self.weyl[d].compose(t).equal(
+                t.compose(self.weyl[dsub])),
+                "tr and weyl do not commute at (%d, %d)" % (dsub, d))
+            _require(t.compose(self.weyl[dsub].power(N // d)).equal(t),
+                     "transfer does not coequalize the Weyl action at %d"
+                     % d)
         # transitivity: the two prime orders around each square agree
         for d in self.group.divisors:
             qs = sorted(set(prime_steps(d)))
@@ -187,12 +194,12 @@ class MackeyFunctor:
                             self.res[(d, d // a)])
                         r2 = self.res[(d // b, d // (a * b))].compose(
                             self.res[(d, d // b)])
-                        assert r1.equal(r2), "res transitivity at %d" % d
+                        _require(r1.equal(r2), "res transitivity at %d" % d)
                         t1 = self.tr[(d // a, d)].compose(
                             self.tr[(d // (a * b), d // a)])
                         t2 = self.tr[(d // b, d)].compose(
                             self.tr[(d // (a * b), d // b)])
-                        assert t1.equal(t2), "tr transitivity at %d" % d
+                        _require(t1.equal(t2), "tr transitivity at %d" % d)
         # double coset law on every comparable pair
         for (e, d) in self.group.comparable_pairs():
             lhs = self.res_map(d, e).compose(self.tr_map(e, d))
@@ -200,7 +207,8 @@ class MackeyFunctor:
             for j in range(d // e):
                 term = self.weyl[e].power((j * (N // d)) % (N // e))
                 rhs = term if rhs is None else rhs.add(term)
-            assert lhs.equal(rhs), "double coset law fails at (%d, %d)" % (e, d)
+            _require(lhs.equal(rhs),
+                     "double coset law fails at (%d, %d)" % (e, d))
         return True
 
     def to_json(self):
@@ -255,20 +263,22 @@ class MackeyMap:
             self.validate()
 
     def validate(self):
+        """Raises MackeyAxiomFailure unless every component commutes
+        with weyl, res and tr."""
         src, tgt = self.source, self.target
         for d in src.group.divisors:
             f = self.components[d]
-            assert f.compose(src.weyl[d]).equal(tgt.weyl[d].compose(f)), \
-                "component %d does not commute with weyl" % d
+            _require(f.compose(src.weyl[d]).equal(tgt.weyl[d].compose(f)),
+                     "component %d does not commute with weyl" % d)
         for (dsub, d) in src.group.covering_pairs():
             fd = self.components[d]
             fsub = self.components[dsub]
-            assert fsub.compose(src.res[(d, dsub)]).equal(
-                tgt.res[(d, dsub)].compose(fd)), \
-                "component does not commute with res at (%d, %d)" % (dsub, d)
-            assert fd.compose(src.tr[(dsub, d)]).equal(
-                tgt.tr[(dsub, d)].compose(fsub)), \
-                "component does not commute with tr at (%d, %d)" % (dsub, d)
+            _require(fsub.compose(src.res[(d, dsub)]).equal(
+                tgt.res[(d, dsub)].compose(fd)),
+                "component does not commute with res at (%d, %d)" % (dsub, d))
+            _require(fd.compose(src.tr[(dsub, d)]).equal(
+                tgt.tr[(dsub, d)].compose(fsub)),
+                "component does not commute with tr at (%d, %d)" % (dsub, d))
         return True
 
     def is_levelwise_isomorphism(self):
@@ -278,6 +288,12 @@ class MackeyMap:
     def is_levelwise_surjection(self):
         return all(abgroups.is_surjective(f)
                    for f in self.components.values())
+
+
+def _require(ok, message):
+    """Validation that survives ``python -O``, unlike ``assert``."""
+    if not ok:
+        raise MackeyAxiomFailure(message)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +451,7 @@ class BoxProduct(MackeyFunctor):
                                  right.weyl[e].matrix[j])
                     for (e, i, j) in symbols[d]]
             weyl[d] = AbHom(levels[d], levels[d], rows, check=True)
+        memo = {}  # factor matrices shared by the _res_row calls below
         for (dsub, d) in group.covering_pairs():
             trows = []
             for (e, i, j) in symbols[dsub]:
@@ -442,7 +459,8 @@ class BoxProduct(MackeyFunctor):
                 row[self._index(d, e, i, j)] = 1
                 trows.append(row)
             tr[(dsub, d)] = AbHom(levels[dsub], levels[d], trows, check=True)
-            rrows = [self._res_row(d, dsub, sym) for sym in symbols[d]]
+            rrows = [self._res_row(d, dsub, sym, memo)
+                     for sym in symbols[d]]
             res[(d, dsub)] = AbHom(levels[d], levels[dsub], rrows, check=True)
         super().__init__(group, levels, res, tr, weyl)
 
@@ -520,21 +538,34 @@ class BoxProduct(MackeyFunctor):
                             rels.append(row)
         return rels
 
-    def _res_row(self, d, dsub, sym):
-        """Double coset expansion of res applied to one symbol."""
+    def _res_row(self, d, dsub, sym, memo):
+        """Double coset expansion of res applied to one symbol.
+
+        ``memo`` caches the factors' restriction and Weyl-power matrices
+        for the rows of one construction; the factors must not change
+        while it is in use.
+        """
         left, right = self.factors
         N = self.group.N
         (e, i, j) = sym
         g = gcd(e, dsub)
         l = e * dsub // g
         count = d // l
-        rx = left.res_map(e, g).matrix[i]
-        ry = right.res_map(e, g).matrix[j]
+        key = ("res", e, g)
+        if key not in memo:
+            memo[key] = (left.res_map(e, g).matrix,
+                         right.res_map(e, g).matrix)
+        rx = memo[key][0][i]
+        ry = memo[key][1][j]
         row = [0] * len(self.symbols[dsub])
         for t in range(count):
             shift = (t * (N // d)) % (N // g)
-            wx = abgroups.vecmat(rx, left.weyl[g].power(shift).matrix)
-            wy = abgroups.vecmat(ry, right.weyl[g].power(shift).matrix)
+            key = ("weyl", g, shift)
+            if key not in memo:
+                memo[key] = (left.weyl[g].power(shift).matrix,
+                             right.weyl[g].power(shift).matrix)
+            wx = abgroups.vecmat(rx, memo[key][0])
+            wy = abgroups.vecmat(ry, memo[key][1])
             part = self._expand(dsub, g, wx, wy)
             row = [a + b for a, b in zip(row, part)]
         return row

@@ -20,8 +20,8 @@ import warnings
 
 from . import abgroups, mackey
 from .abgroups import AbHom, FgAbGroup, unit_vector
-from .errors import (EvenPrime, MalformedData, NotApplicable,
-                     PrimeDividesN)
+from .errors import (EvenPrime, MackeyAxiomFailure, MalformedData,
+                     NotApplicable, PrimeDividesN)
 from .eqwitt import (equivariant_witt, multiplicative_lift,
                      multiplicative_order, restriction_r)
 from .mackey import MackeyFunctor, divisors
@@ -378,7 +378,7 @@ def _axiom_compat(data):
         try:
             from .tambara import GreenMap
             GreenMap(restricted, target, comps)
-        except (AssertionError, ValueError) as exc:
+        except (AssertionError, MackeyAxiomFailure, ValueError) as exc:
             return _fail(name, towers=[s, smaller], reason=str(exc))
         # d-compatibility: compat . d == d . compat in supplied degrees
         for d in restricted.mackey.group.divisors:

@@ -42,6 +42,28 @@ matrices = st.integers(min_value=1, max_value=6).flatmap(
             min_size=r, max_size=r)))
 
 
+# tall and sparse with small entries, like box-product relation matrices
+box_shaped = st.integers(min_value=1, max_value=7).flatmap(
+    lambda c: st.integers(min_value=c, max_value=4 * c).flatmap(
+        lambda r: st.lists(
+            st.lists(st.sampled_from((0, 0, 0, 0, 1, -1, 2, -2)),
+                     min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+def assert_diagonal_chain(d):
+    """d is diagonal with non-negative entries d0 | d1 | ..."""
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        if b:
+            assert a and b % a == 0
+    for i, row in enumerate(d):
+        for j, v in enumerate(row):
+            if i != j:
+                assert v == 0
+
+
 class TestSmithNormalForm:
     def test_two_by_two_example(self):
         d, left, right = smith_normal_form([[2, 0], [0, 3]])
@@ -66,15 +88,17 @@ class TestSmithNormalForm:
         right_inv = _smith(m)[3]
         assert matmul(right, right_inv) == identity_matrix(len(right))
         assert matmul(right_inv, right) == identity_matrix(len(right))
-        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-        for a, b in zip(diag, diag[1:]):
-            if b:
-                assert a and b % a == 0
-            # off-diagonal entries vanish
-        for i, row in enumerate(d):
-            for j, v in enumerate(row):
-                if i != j:
-                    assert v == 0
+        assert_diagonal_chain(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(box_shaped)
+    def test_box_shaped_invariants(self, m):
+        d, left, right, right_inv = _smith(m)
+        assert matmul(matmul(left, m), right) == d
+        assert_diagonal_chain(d)
+        assert matmul(right, right_inv) == identity_matrix(len(right))
+        # group builds skip the left transform and get the rest unchanged
+        assert _smith(m, with_left=False) == (d, None, right, right_inv)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=4).flatmap(

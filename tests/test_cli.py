@@ -1,9 +1,13 @@
 """CLI tests: documented flows, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wittlab
 import wittlab.witt as wittmod
 from wittlab.abgroups import FgAbGroup
 from wittlab.cli import family_to_json, main, witt_complex_from_json
@@ -137,6 +141,24 @@ class TestMackeyAndBox:
         code, _, err = run(capsys, ["mackey", "show", "--file", str(path)])
         assert code == 1
         assert "error" in json.loads(err)
+
+    def test_invalid_functor_exit_1_under_optimize(self, tmp_path):
+        # validation must not rely on assert, which python -O strips
+        data = burnside(6).to_json()
+        data["tr"]["1->2"]["matrix"] = [[3, 0]]  # breaks tr transitivity
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(wittlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "wittlab", "mackey", "show",
+             "--file", str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr) == {
+            "error": "MackeyAxiomFailure: tr transitivity at 6"}
 
     def test_box(self, capsys, tmp_path):
         a = tmp_path / "a.json"

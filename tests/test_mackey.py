@@ -1,15 +1,22 @@
 """Tests for Mackey functors over cyclic groups."""
 
+from math import gcd
+
 import pytest
 
-from wittlab.abgroups import AbHom, FgAbGroup, identity_matrix, tensor
-from wittlab.errors import ActionOrderInvalid, GroupMismatch, NotASubgroup
+from wittlab.abgroups import (AbHom, FgAbGroup, identity_matrix,
+                              smith_normal_form, tensor, unit_vector)
+from wittlab.eqwitt import equivariant_witt
+from wittlab.errors import (ActionOrderInvalid, GroupMismatch,
+                            MackeyAxiomFailure, NotASubgroup)
 from wittlab.mackey import (CyclicGroupSpec, MackeyFunctor, MackeyMap,
                             box_associativity_map, box_product,
                             box_symmetry_map, box_unit_map, burnside,
                             burnside_basis_vector, divisors,
                             fixed_point_mackey, geometric_fixed_points,
                             restrict_to_subgroup, weyl_coinvariants, zeta)
+from wittlab.rings import ModularRing
+from wittlab.tambara import constant_tambara
 
 
 def sign_z_over_c2():
@@ -35,6 +42,29 @@ def battery():
             "signZ": sign_z_over_c2(),
         }
     return BATTERY
+
+
+def res_by_double_cosets(box, d, dsub):
+    """Matrix of res from level d to level dsub of a box product, from
+    the double coset formula with direct, uncached factor maps."""
+    left, right = box.factors
+    N = box.group.N
+    rows = []
+    for (e, i, j) in box.symbols[d]:
+        g = gcd(e, dsub)
+        x = left.res_map(e, g).apply(unit_vector(left.level(e).ngens, i))
+        y = right.res_map(e, g).apply(unit_vector(right.level(e).ngens, j))
+        row = [0] * len(box.symbols[dsub])
+        # C_d / C_e C_dsub has d g / (e dsub) cosets, represented by the
+        # powers of the generator of C_d
+        for t in range(d * g // (e * dsub)):
+            shift = t * (N // d)
+            part = box.pure_tensor(dsub, g,
+                                   left.weyl_power(g, shift).apply(x),
+                                   right.weyl_power(g, shift).apply(y))
+            row = [a + b for a, b in zip(row, part)]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 class TestCyclicGroupSpec:
@@ -178,6 +208,58 @@ class TestBoxProduct:
                  for d in (1, 2)}
         m = MackeyMap(restricted, boxed, comps)
         assert m.is_levelwise_isomorphism()
+
+
+    @pytest.mark.parametrize("name", ["A12", "W12", "perm6"])
+    def test_restriction_matches_double_coset_formula(self, name):
+        if name == "A12":
+            m = burnside(12)
+        elif name == "W12":
+            m = equivariant_witt(constant_tambara(ModularRing(9), 4),
+                                 3, 1).green.mackey
+        else:
+            # Z^3 permuted cyclically: the Weyl action is not trivial
+            z3 = FgAbGroup.free(3)
+            m = fixed_point_mackey(
+                z3, AbHom(z3, z3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]), 6)
+        box = box_product(m, m)
+        for (dsub, d) in box.group.covering_pairs():
+            assert box.res[(d, dsub)].matrix == \
+                res_by_double_cosets(box, d, dsub), (dsub, d)
+
+    def test_relation_invariant_factors_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        box = box_product(burnside(12), burnside(12))
+        sizes = []
+        for d in box.group.divisors:
+            rel = box.level(d).relations
+            if not rel:
+                continue  # a free level
+            sizes.append((len(rel), len(rel[0])))
+            dmat, _, _ = smith_normal_form(rel)
+            diag = [dmat[i][i] for i in range(min(len(rel), len(rel[0])))]
+            expected = normalforms.invariant_factors(sympy.Matrix(rel),
+                                                     domain=sympy.ZZ)
+            assert diag == [abs(int(x)) for x in expected], d
+        assert max(sizes) == (136, 70)
+
+
+class TestValidation:
+    def test_tripled_transfer_is_rejected(self):
+        data = burnside(6).to_json()
+        data["tr"]["1->2"]["matrix"] = [[3, 0]]
+        m = MackeyFunctor.from_json(data)
+        with pytest.raises(MackeyAxiomFailure, match="tr transitivity at 6"):
+            m.validate()
+
+    def test_map_not_commuting_with_res_is_rejected(self):
+        a2 = burnside(2)
+        comps = {1: AbHom.identity(a2.level(1)),
+                 2: AbHom(a2.level(2), a2.level(2), [[0, 1], [1, 0]])}
+        with pytest.raises(MackeyAxiomFailure,
+                           match="does not commute with res at"):
+            MackeyMap(a2, a2, comps)
 
 
 class TestRestrictAndZeta:
