@@ -1,9 +1,9 @@
 """wittlab: exact p-typical and equivariant Witt vector computations.
 
-Classical Witt rings with their universal polynomial arithmetic, Mackey
-and Tambara functors over cyclic groups, box products, norms,
-equivariant Witt vectors with F/V/r and multiplicative lifts, and a
-mechanical checker for the Witt complex axioms.
+Classical Witt rings with ghost-lift arithmetic, Mackey and Tambara
+functors over cyclic groups, box products, norms, equivariant Witt
+vectors with F/V/r and multiplicative lifts, and a mechanical checker
+for the Witt complex axioms.
 """
 
 from .abgroups import (AbHom, FgAbGroup, cokernel, direct_sum, image,

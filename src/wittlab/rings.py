@@ -147,20 +147,6 @@ class IntPolynomial:
     def _key(self, exps):
         return (-sum(exps), tuple(-x for x in exps))
 
-    def to_json(self):
-        return [[c, list(e)] for e, c in
-                sorted(self.terms.items(), key=lambda item: self._key(item[0]))]
-
-    @classmethod
-    def from_json(cls, nvars, data):
-        terms = {}
-        for c, e in data:
-            exps = tuple(int(x) for x in e)
-            if len(exps) != nvars or any(x < 0 for x in exps):
-                raise ValueError("malformed exponent vector %r" % (e,))
-            terms[exps] = int(c)
-        return cls(nvars, terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -1,26 +1,36 @@
 """Classical p-typical Witt vectors.
 
-The ring structure on length-k vectors is carried by universal integer
-polynomials obtained from the triangular ghost solve: the ghost map
+The ring structure on length-k vectors is the one that makes the ghost
+map
 
     w_n = sum_{i<=n} p^i * a_i^(p^(n-i))
 
-must be a ring map, and solving the resulting system over Z[x_i, y_i]
-with exact division by powers of p produces sum, product, negation,
-Frobenius and norm polynomials.  Because the formulas are polynomial,
-every operator also works over base rings where p is a zero divisor.
+a ring map.  Every operator computes by ghost lift:
 
-Universal polynomials are computed once per (p, k) and cached; set the
-environment variable WITTLAB_CACHE_DIR to persist them between runs.
+1. lift the coordinates to a torsion-free cover of the base ring;
+2. combine the ghost vectors entry by entry (sum, difference, product,
+   negation and n.w; F drops the first ghost entry; the norm has the
+   targets [x_0, w_0^p, ..., w_{k-1}^p]);
+3. solve the triangular system back, dividing exactly by p^n;
+4. reduce to the base ring.
+
+Z and Z[x] are their own cover.  Z/m is covered by the integers modulo
+Q = m p^L, L the output length: a = b mod p^j with j >= 1 gives
+a^p = b^p mod p^(j+1), so coordinate n of the solve is known modulo
+m p^(L-n), and exactly modulo m.  Entries stay at O(L log p + log m)
+bits, where a plain lift to Z would need p^(L-1)-fold bit lengths.
+
+The sum, product, negation, Frobenius and norm are integer polynomials
+in the coordinates (the universal Witt polynomials), so the result is
+that of the polynomials evaluated in the base ring, also where p is a
+zero divisor.  ``universal_polynomials`` builds them symbolically; the
+arithmetic never uses them, and the tests keep them as an independent
+oracle for small (p, k).
 """
-
-import json
-import os
-import threading
 
 from .errors import (InternalIntegralityFailure, LengthMismatch,
                      LengthTooShort, ParamsMismatch)
-from .rings import IntPolynomial, PolynomialRing, is_prime, ring_pow
+from .rings import IntPolynomial, ModularRing, PolynomialRing, is_prime
 
 
 class WittParams:
@@ -119,94 +129,53 @@ class UniversalWittPolynomials:
     def __setattr__(self, name, value):
         raise AttributeError("immutable")
 
-    def to_json(self):
-        return {
-            "p": self.p, "k": self.k,
-            "sums": [f.to_json() for f in self.sums],
-            "products": [f.to_json() for f in self.products],
-            "negations": [f.to_json() for f in self.negations],
-            "frobenius": [f.to_json() for f in self.frobenius],
-            "norms": [f.to_json() for f in self.norms],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        obj = object.__new__(cls)
-        p, k = data["p"], data["k"]
-        object.__setattr__(obj, "p", p)
-        object.__setattr__(obj, "k", k)
-        for field, nvars, count in (("sums", 2 * k, k),
-                                    ("products", 2 * k, k),
-                                    ("negations", k, k),
-                                    ("frobenius", k, k - 1),
-                                    ("norms", k, k + 1)):
-            polys = tuple(IntPolynomial.from_json(nvars, item)
-                          for item in data[field])
-            if len(polys) != count:
-                raise ValueError("%s: expected %d polynomials, got %d"
-                                 % (field, count, len(polys)))
-            object.__setattr__(obj, field, polys)
-        return obj
-
-
-_POLY_CACHE = {}
-_POLY_LOCK = threading.Lock()
-
 
 def universal_polynomials(p, k):
-    """Cached universal polynomial families, one per (p, k)."""
-    key = (int(p), int(k))
-    with _POLY_LOCK:
-        hit = _POLY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    value = _load_from_disk(*key)
-    if value is None:
-        WittParams(*key)  # validates p prime, k >= 1
-        value = UniversalWittPolynomials(*key)
-        _store_to_disk(value)
-    with _POLY_LOCK:
-        # racing computations produce identical values; first write wins
-        hit = _POLY_CACHE.setdefault(key, value)
-    return hit
+    """The universal polynomial families for (p, k), built afresh.
 
-
-def _cache_path(p, k):
-    root = os.environ.get("WITTLAB_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, "witt-polys-p%d-k%d.json" % (p, k))
-
-
-def _load_from_disk(p, k):
-    """The cached family for exactly (p, k), or None.
-
-    A missing file, a malformed one, or one written for another (p, k)
-    is a miss, and the caller rebuilds.
+    The cost grows exponentially in k; the Witt arithmetic does not
+    need them.
     """
-    path = _cache_path(p, k)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if (data["p"], data["k"]) != (p, k):
-            return None
-        return UniversalWittPolynomials.from_json(data)
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
+    WittParams(p, k)  # validates p prime, k >= 1
+    return UniversalWittPolynomials(int(p), int(k))
 
 
-def _store_to_disk(polys):
-    path = _cache_path(polys.p, polys.k)
-    if not path:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(polys.to_json(), fh)
-    except OSError:
-        pass
+def _ghost(p, coords, modulus):
+    """Ghost vector of cover coordinates, reduced modulo `modulus`
+    unless it is None.  At step n, powers[i] = a_i^(p^(n-i))."""
+    out, powers = [], []
+    for n, a in enumerate(coords):
+        w = p ** n * a
+        for i, b in enumerate(powers):
+            b = powers[i] = pow(b, p, modulus)
+            w += p ** i * b
+        powers.append(a)
+        out.append(w % modulus if modulus else w)
+    return out
+
+
+def _solve(p, targets, modulus):
+    """Cover coordinates with the given ghost vector: the triangular
+    solve, reducing modulo `modulus` (unless None) before each exact
+    division by p^n.  At step n, powers[i] = c_i^(p^(n-i))."""
+    coords, powers = [], []
+    for n, acc in enumerate(targets):
+        for i, b in enumerate(powers):
+            b = powers[i] = pow(b, p, modulus)
+            acc -= p ** i * b
+        try:
+            if isinstance(acc, IntPolynomial):
+                c = acc.exact_div_int(p ** n)
+            else:
+                c, r = divmod(acc % modulus if modulus else acc, p ** n)
+                if r:
+                    raise ArithmeticError("remainder %d" % r)
+        except ArithmeticError as exc:
+            raise InternalIntegralityFailure(
+                "ghost solve failed at index %d: %s" % (n, exc)) from exc
+        coords.append(c)
+        powers.append(c)
+    return coords
 
 
 class WittVector:
@@ -273,9 +242,6 @@ class WittRing:
         self.k = self.params.k
         self.ring = ring
 
-    def _polys(self):
-        return universal_polynomials(self.p, self.k)
-
     def vector(self, coords):
         return WittVector(self.params, self.ring,
                           [self.ring.from_int(c) if isinstance(c, int) else c
@@ -295,38 +261,43 @@ class WittRing:
         """Length-k multiplicative representative (a, 0, ..., 0)."""
         return self.vector([a] + [self.ring.zero()] * (self.k - 1))
 
-    def _binary(self, family, x, y):
-        values = list(x.coords) + list(y.coords)
-        return self.vector([f.evaluate(self.ring, values) for f in family])
+    def _cover_modulus(self, length):
+        """Q = m p^L covering Z/m at output length L; None for Z and
+        Z[x], which are their own cover."""
+        if isinstance(self.ring, ModularRing):
+            return self.ring.modulus * self.p ** length
+        return None
+
+    def _ghost_lift(self, length, combine, *xs):
+        """The length-L vector whose ghost vector in the cover is
+        `combine` of the inputs' ghost vectors, reduced to the base
+        ring.  Coordinates are their own lifts: any integer stands for
+        its residue modulo m, and m divides Q."""
+        modulus = self._cover_modulus(length)
+        targets = combine(*(_ghost(self.p, x.coords, modulus) for x in xs))
+        out = self if length == self.k else \
+            WittRing(self.p, length, self.ring)
+        return out.vector(_solve(self.p, targets, modulus))
 
     def add(self, x, y):
-        return self._binary(self._polys().sums, x, y)
+        return self._ghost_lift(self.k, lambda a, b: [
+            u + v for u, v in zip(a, b)], x, y)
 
     def mul(self, x, y):
-        return self._binary(self._polys().products, x, y)
+        return self._ghost_lift(self.k, lambda a, b: [
+            u * v for u, v in zip(a, b)], x, y)
 
     def neg(self, x):
-        values = list(x.coords)
-        return self.vector([f.evaluate(self.ring, values)
-                            for f in self._polys().negations])
+        return self._ghost_lift(self.k, lambda a: [-u for u in a], x)
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        return self._ghost_lift(self.k, lambda a, b: [
+            u - v for u, v in zip(a, b)], x, y)
 
     def scalar_mul(self, n, x):
-        """Additive multiple n.x, by double-and-add."""
+        """Additive multiple n.x."""
         n = int(n)
-        if n < 0:
-            return self.neg(self.scalar_mul(-n, x))
-        acc = self.zero()
-        base = x
-        while n:
-            if n & 1:
-                acc = self.add(acc, base)
-            if n > 1:
-                base = self.add(base, base)
-            n >>= 1
-        return acc
+        return self._ghost_lift(self.k, lambda a: [n * u for u in a], x)
 
     def power(self, x, n):
         if n < 0:
@@ -346,16 +317,7 @@ class WittRing:
 
     def ghost(self, x):
         """Ghost coordinates (w_0, ..., w_{k-1})."""
-        out = []
-        for n in range(self.k):
-            acc = self.ring.zero()
-            for i in range(n + 1):
-                term = self.ring.mul(
-                    self.ring.from_int(self.p ** i),
-                    ring_pow(self.ring, x.coords[i], self.p ** (n - i)))
-                acc = self.ring.add(acc, term)
-            out.append(acc)
-        return tuple(out)
+        return tuple(_ghost(self.p, x.coords, self._cover_modulus(0)))
 
     def restriction(self, x):
         """Drop the last Witt coordinate; a ring map to W_{k-1}."""
@@ -367,10 +329,7 @@ class WittRing:
         """The ring map F with ghost(F x) = tail of ghost(x)."""
         if self.k < 2:
             raise LengthTooShort("frobenius needs length >= 2")
-        values = list(x.coords)
-        shorter = WittRing(self.p, self.k - 1, self.ring)
-        return shorter.vector([f.evaluate(self.ring, values)
-                               for f in self._polys().frobenius])
+        return self._ghost_lift(self.k - 1, lambda a: a[1:], x)
 
     def verschiebung(self, x):
         """Prepend a zero coordinate; input must have length k-1."""
@@ -386,10 +345,8 @@ class WittRing:
         Sends Teichmueller vectors to Teichmueller vectors and satisfies
         F(norm(x)) = x^p; additivity fails, multiplicativity holds.
         """
-        values = list(x.coords)
-        longer = WittRing(self.p, self.k + 1, self.ring)
-        return longer.vector([f.evaluate(self.ring, values)
-                              for f in self._polys().norms])
+        return self._ghost_lift(self.k + 1,
+                          lambda a: [a[0]] + [u ** self.p for u in a], x)
 
     def elements(self):
         """All Witt vectors over a finite base ring."""

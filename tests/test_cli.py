@@ -2,18 +2,19 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import wittlab
-import wittlab.witt as wittmod
 from wittlab.abgroups import FgAbGroup
 from wittlab.cli import family_to_json, main, witt_complex_from_json
 from wittlab.mackey import burnside
 from wittlab.rings import ModularRing
 from wittlab.tambara import burnside_tambara, constant_tambara
+from wittlab.witt import WittRing
 from wittlab.wittcomplex import degree_zero_family
 
 
@@ -48,6 +49,25 @@ class TestClassical:
         assert code == 0
         assert len(json.loads(out)["coords"]) == 2
 
+    def test_length_40_over_z4(self, capsys):
+        # far past any universal-polynomial build
+        ring = ModularRing(4)
+        wr = WittRing(2, 40, ring)
+        rng = random.Random(40)
+        x, y, z = (wr.vector([rng.randrange(4) for _ in range(40)])
+                   for _ in range(3))
+        code, out, _ = run(capsys, [
+            "classical", "--p", "2", "--k", "40", "--ring", "Z/4",
+            "--op", "mul", "--x", ",".join(map(str, x.coords)),
+            "--y", ",".join(map(str, y.coords))])
+        assert code == 0
+        assert json.loads(out)["coords"] == list(wr.mul(x, y).coords)
+        assert wr.mul(x, wr.add(y, z)) == \
+            wr.add(wr.mul(x, y), wr.mul(x, z))
+        longer = WittRing(2, 41, ring)
+        assert longer.frobenius(longer.verschiebung(x)) == \
+            wr.scalar_mul(2, x)
+
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run(capsys, ["classical", "--p", "3"])
         assert code == 2
@@ -72,50 +92,25 @@ ADD_P3_K2 = ["classical", "--p", "3", "--k", "2", "--ring", "Z",
 
 
 class TestPolynomialDiskCache:
-    """A cache file that does not hold the family asked for is a miss."""
+    """Files an older version left under WITTLAB_CACHE_DIR are ignored.
 
-    @pytest.fixture
-    def cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(wittmod, "_POLY_CACHE", {})
-        return tmp_path
-
-    def check_add_p3_k2(self, capsys, cache_dir):
-        wittmod._POLY_CACHE.clear()
-        code, out, _ = run(capsys, ADD_P3_K2)
-        assert code == 0
-        assert json.loads(out)["coords"] == [2, -2]
-        # the miss was rebuilt and written back over the bad file
-        stored = json.loads((cache_dir / "witt-polys-p3-k2.json").read_text())
-        assert stored == wittmod.UniversalWittPolynomials(3, 2).to_json()
-
-    def test_file_for_other_p_is_rebuilt(self, capsys, cache_dir):
-        code, _, _ = run(capsys, ["classical", "--p", "2", "--k", "2",
-                                  "--ring", "Z", "--op", "add",
-                                  "--x", "1,0", "--y", "1,0"])
-        assert code == 0
-        written = cache_dir / "witt-polys-p2-k2.json"
-        (cache_dir / "witt-polys-p3-k2.json").write_text(written.read_text())
-        self.check_add_p3_k2(capsys, cache_dir)
+    The arithmetic no longer reads or writes polynomial files: the
+    result is rebuilt from the inputs, and a leftover file is left as
+    it was.
+    """
 
     @pytest.mark.parametrize("content", [
         "[1, 2]", '"polys"', "7", "{", '{"p": 3, "k": 2}'])
-    def test_malformed_file_is_rebuilt(self, capsys, cache_dir, content):
-        (cache_dir / "witt-polys-p3-k2.json").write_text(content)
-        self.check_add_p3_k2(capsys, cache_dir)
-
-    @pytest.mark.parametrize("damage", [
-        lambda data: data["sums"].pop(),
-        lambda data: data["sums"][0][0][1].append(0),
-        lambda data: data["sums"][1][0].__setitem__(1, [-1, 0, 0, 0]),
-        lambda data: data.update(k=3),
-    ], ids=["missing-poly", "long-exponents", "negative-exponent", "k"])
-    def test_damaged_family_is_rebuilt(self, capsys, cache_dir, damage):
-        path = cache_dir / "witt-polys-p3-k2.json"
-        data = wittmod.UniversalWittPolynomials(3, 2).to_json()
-        damage(data)
-        path.write_text(json.dumps(data))
-        self.check_add_p3_k2(capsys, cache_dir)
+    def test_malformed_file_is_rebuilt(self, capsys, tmp_path, monkeypatch,
+                                       content):
+        monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+        path = tmp_path / "witt-polys-p3-k2.json"
+        path.write_text(content)
+        code, out, _ = run(capsys, ADD_P3_K2)
+        assert code == 0
+        assert json.loads(out)["coords"] == [2, -2]
+        assert path.read_text() == content
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
 
 class TestMackeyAndBox:
@@ -215,6 +210,14 @@ class TestEqwitt:
         assert code == 0
         data = json.loads(out)
         assert set(data["oracle"].values()) == {"PASS"}
+
+    def test_oracle_passes_at_every_level_k4(self, capsys):
+        code, out, _ = run(capsys, ["eqwitt", "--ring", "F3", "--p", "3",
+                                    "--k", "4", "--oracle"])
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert len(oracle) == 5
+        assert set(oracle.values()) == {"PASS"}
 
     def test_deterministic_output(self, capsys):
         args = ["eqwitt", "--ring", "F3", "--n", "2", "--p", "3",

@@ -136,7 +136,7 @@ class TestClassicalComparison:
             seen.add(w.level(3 ** k).canonical(pres.encode(x)))
         assert len(seen) == modulus ** (k + 1)
 
-    @pytest.mark.parametrize("p, kmax", [(3, 3), (2, 4)])
+    @pytest.mark.parametrize("p, kmax", [(3, 3), (2, 4), (3, 6), (2, 6)])
     def test_prime_field_top_level_is_cyclic(self, p, kmax):
         # W_{C_{p^k}}(F_p) has top level W_{k+1}(F_p) = Z/p^{k+1}
         for k in range(kmax + 1):

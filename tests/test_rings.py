@@ -84,15 +84,18 @@ def test_parse_ring():
 
 
 def test_polynomial_cache_concurrent_initialization():
-    # once-per-key initialization must be safe under concurrent access
+    # nothing is cached any more: concurrent builds of the polynomial
+    # family and concurrent Witt arithmetic share no state and agree
     import wittlab.witt as wittmod
     key = (7, 2)
-    with wittmod._POLY_LOCK:
-        wittmod._POLY_CACHE.pop(key, None)
+    wr = wittmod.WittRing(7, 2, ModularRing(49))
+    x, y = wr.vector([3, 40]), wr.vector([48, 5])
     results = []
 
     def worker():
-        results.append(wittmod.universal_polynomials(*key))
+        fam = wittmod.universal_polynomials(*key)
+        results.append((fam.sums, fam.products, fam.norms,
+                        wr.add(x, y), wr.mul(x, y), wr.norm(x)))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
@@ -100,7 +103,7 @@ def test_polynomial_cache_concurrent_initialization():
     for t in threads:
         t.join()
     assert len(results) == 8
-    assert all(r is results[0] for r in results)
+    assert all(r == results[0] for r in results)
 
 
 def test_module_doctests():

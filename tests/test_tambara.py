@@ -263,8 +263,9 @@ class TestPresentations:
         pytest.param(3, 2, 1, (), id="p3-k2-m1"),
     ])
     def test_finite_witt_presentation_faithful(self, p, k, m, factors):
-        # the universal polynomials behind wr.add/wr.mul are the oracle
-        # for the ghost-vector encoder
+        # wr.add/wr.mul (ghost lift modulo m p^k, checked against the
+        # universal polynomials in test_witt) are the oracle for the
+        # encoder, which works on exact ghost vectors over Z
         wr = WittRing(p, k, ModularRing(m))
         pres = present_witt_ring(wr)
         group = pres.group

@@ -1,20 +1,26 @@
 """Tests for classical p-typical Witt vectors.
 
-The independent oracle for ring operations over torsion-free bases is
-the ghost map: compute componentwise in ghost coordinates and solve
-the triangular system back, without touching the cached universal
-polynomials.  Over Z/m the oracle lifts to Z and reduces.
+The arithmetic computes by ghost lift over a bounded cover.  It has
+two independent oracles: the universal Witt polynomials, built
+symbolically for small (p, k) and evaluated in the base ring, and the
+exact lift to Z, whose ghost vector is solved back by
+``witt_from_ghost_over_z`` and reduced.
 """
 
+import json
 import random
 
 import pytest
 
+from wittlab.cli import main
+from wittlab.eqwitt import equivariant_witt
 from wittlab.errors import (LengthMismatch, LengthTooShort, ParamsMismatch)
 from wittlab.rings import (IntegerRing, IntPolynomial, ModularRing,
                            PolynomialRing)
-from wittlab.witt import (WittParams, WittRing, teichmuller_lift,
-                          universal_polynomials, witt_from_ghost_over_z)
+from wittlab.tambara import constant_tambara
+from wittlab.witt import (UniversalWittPolynomials, WittParams, WittRing,
+                          teichmuller_lift, universal_polynomials,
+                          witt_from_ghost_over_z)
 
 Z = IntegerRing()
 F3 = ModularRing(3)
@@ -347,18 +353,97 @@ class TestNorm:
                                  longer.mul(wr.norm(x), wr.norm(y)))
 
 
-class TestCacheDeterminism:
-    def test_polynomials_are_cached(self):
-        a = universal_polynomials(3, 2)
-        b = universal_polynomials(3, 2)
-        assert a is b
+def random_element(ring, rng):
+    if isinstance(ring, ModularRing):
+        return rng.randrange(ring.modulus)
+    if isinstance(ring, PolynomialRing):
+        return IntPolynomial(ring.nvars, {
+            tuple(rng.randrange(2) for _ in range(ring.nvars)):
+            rng.randint(-2, 2) for _ in range(2)})
+    return rng.randint(-9, 9)
 
-    def test_disk_cache_round_trip(self, tmp_path, monkeypatch):
-        import wittlab.witt as wittmod
-        monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
-        fresh = wittmod.UniversalWittPolynomials(3, 2)
-        wittmod._store_to_disk(fresh)
-        loaded = wittmod._load_from_disk(3, 2)
-        assert loaded is not None
-        assert loaded.sums == fresh.sums
-        assert loaded.norms == fresh.norms
+
+class TestGhostLiftOracles:
+    @pytest.mark.parametrize("p,k,ring", [
+        (2, 2, Z), (3, 3, Z), (2, 4, ModularRing(4)), (3, 4, ModularRing(9)),
+        (5, 3, ModularRing(5)), (5, 2, ModularRing(6)),
+        (3, 2, ModularRing(1)), (2, 3, PolynomialRing(2))],
+        ids=lambda v: getattr(v, "name", v))
+    def test_matches_universal_polynomials(self, p, k, ring):
+        up = UniversalWittPolynomials(p, k)
+        wr = WittRing(p, k, ring)
+
+        def evaluate(family, *vectors):
+            values = [c for v in vectors for c in v.coords]
+            return [f.evaluate(ring, values) for f in family]
+
+        def add(x, y):
+            return wr.vector(evaluate(up.sums, x, y))
+
+        def neg(x):
+            return wr.vector(evaluate(up.negations, x))
+
+        def times(n, x):
+            acc = wr.zero()
+            for _ in range(abs(n)):
+                acc = add(acc, x)
+            return acc if n >= 0 else neg(acc)
+
+        rng = random.Random(100 * p + k)
+        for _ in range(6):
+            x = wr.vector([random_element(ring, rng) for _ in range(k)])
+            y = wr.vector([random_element(ring, rng) for _ in range(k)])
+            assert wr.add(x, y) == add(x, y)
+            assert wr.sub(x, y) == add(x, neg(y))
+            assert wr.mul(x, y) == wr.vector(evaluate(up.products, x, y))
+            assert wr.neg(x) == neg(x)
+            for n in (5, -5):
+                assert wr.scalar_mul(n, x) == times(n, x)
+                assert wr.from_int(n) == times(n, wr.one())
+            if k > 1:
+                assert wr.frobenius(x) == WittRing(p, k - 1, ring).vector(
+                    evaluate(up.frobenius, x))
+            assert wr.norm(x) == WittRing(p, k + 1, ring).vector(
+                evaluate(up.norms, x))
+
+    @pytest.mark.parametrize("p,k,m", [(2, 12, 4), (3, 6, 9), (5, 4, 25),
+                                       (2, 10, 6)])
+    def test_modular_cover_matches_exact_lift(self, p, k, m):
+        wr = WittRing(p, k, ModularRing(m))
+
+        def ghost(coords):
+            return [sum(p ** i * coords[i] ** p ** (n - i)
+                        for i in range(n + 1)) for n in range(len(coords))]
+
+        def lifted(targets):
+            return tuple(c % m for c in witt_from_ghost_over_z(p, targets))
+
+        rng = random.Random(p * k * m)
+        for _ in range(3):
+            xs = [rng.randrange(m) for _ in range(k)]
+            ys = [rng.randrange(m) for _ in range(k)]
+            gx, gy = ghost(xs), ghost(ys)
+            x, y = wr.vector(xs), wr.vector(ys)
+            cases = [
+                (wr.add(x, y), [a + b for a, b in zip(gx, gy)]),
+                (wr.sub(x, y), [a - b for a, b in zip(gx, gy)]),
+                (wr.mul(x, y), [a * b for a, b in zip(gx, gy)]),
+                (wr.neg(x), [-a for a in gx]),
+                (wr.scalar_mul(-5, x), [-5 * a for a in gx]),
+                (wr.frobenius(x), gx[1:]),
+                (wr.norm(x), [gx[0]] + [a ** p for a in gx])]
+            for got, targets in cases:
+                assert got.coords == lifted(targets)
+
+    def test_runtime_never_builds_universal_polynomials(self, monkeypatch,
+                                                        capsys):
+        def refuse(*args):
+            raise RuntimeError("universal polynomials used at run time")
+        monkeypatch.setattr(UniversalWittPolynomials, "__init__", refuse)
+        monkeypatch.setattr(IntPolynomial, "evaluate", refuse)
+        code = main(["classical", "--p", "5", "--k", "4", "--ring", "Z/25",
+                     "--op", "add", "--x", "3,1,4,1", "--y", "5,9,2,6"])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["coords"]) == 4
+        w = equivariant_witt(constant_tambara(F3, 1), 3, 3)
+        assert w.level(27).invariant_factors == (81,)
