@@ -15,11 +15,11 @@ from .eqwitt import (EquivariantWittFunctor, check_lift_power,
                      hh0_via_nerve, multiplicative_lift, nerve_comparison,
                      restriction_r)
 from .errors import (ActionOrderInvalid, EvenPrime,
-                     InternalIntegralityFailure, GroupMismatch,
-                     LengthMismatch, LengthTooShort, MackeyAxiomFailure,
-                     MalformedData, NotApplicable, NotASubgroup,
-                     ParamsMismatch, PrimeDividesN, UnsupportedInput,
-                     WittlabError)
+                     InternalIntegralityFailure, InternalInvariantFailure,
+                     GroupMismatch, LengthMismatch, LengthTooShort,
+                     MackeyAxiomFailure, MalformedData, NotApplicable,
+                     NotASubgroup, ParamsMismatch, PrimeDividesN,
+                     TambaraAxiomFailure, UnsupportedInput, WittlabError)
 from .mackey import (BoxProduct, CyclicGroupSpec, MackeyFunctor, MackeyMap,
                      box_product, burnside, fixed_point_mackey,
                      geometric_fixed_points, restrict_to_subgroup,

@@ -21,9 +21,19 @@ over the support of the pivot row, column operations over the rows that
 are non-zero in the pivot column, and a unit pivot skips the
 divisibility-chain scan.  None of this changes the transforms.  Group
 builds discard the left transform, so they do not build it.
+
+Canonical forms use only the non-unit Smith columns.  A column whose
+invariant factor is 1 always reduces to x mod 1 = 0, so a group keeps
+just its live columns (d_i != 1), each with its index, its d_i and its
+non-zero entries, and the matching rows of the inverse transform.
+``canonical`` writes 0 at the unit positions, ``is_zero`` stops at the
+first live coordinate that is not zero, and ``equal`` is ``is_zero`` of
+the difference.  Homomorphisms built inside this module skip the public
+constructor's per-entry coercion and relation check.
 """
 
 from fractions import Fraction
+from itertools import product
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +261,7 @@ class FgAbGroup:
     False
     """
 
-    __slots__ = ("ngens", "relations", "_dvec", "_right", "_rinv",
+    __slots__ = ("ngens", "relations", "_dvec", "_live", "_rinv",
                  "_invariants")
 
     def __init__(self, ngens, relations=()):
@@ -270,9 +280,14 @@ class FgAbGroup:
         else:
             right = rinv = identity_matrix(ngens)
             dvec = [0] * ngens
+        # only the columns with d_i != 1 can be non-zero modulo d_i
+        live = [i for i, di in enumerate(dvec) if di != 1]
         object.__setattr__(self, "_dvec", tuple(dvec))
-        object.__setattr__(self, "_right", _frozen(right))
-        object.__setattr__(self, "_rinv", _frozen(rinv))
+        object.__setattr__(self, "_live", tuple(
+            (i, dvec[i], tuple((k, row[i]) for k, row in enumerate(right)
+                               if row[i]))
+            for i in live))
+        object.__setattr__(self, "_rinv", tuple(tuple(rinv[i]) for i in live))
         inv = tuple(x for x in dvec if x != 1)
         object.__setattr__(self, "_invariants", inv)
 
@@ -310,17 +325,25 @@ class FgAbGroup:
         """Canonical form of an element; equal iff canonical forms agree."""
         if len(x) != self.ngens:
             raise ValueError("element has wrong length")
-        z = vecmat(x, self._right)
-        out = []
-        for zi, di in zip(z, self._dvec):
-            out.append(zi % di if di else zi)
+        out = [0] * self.ngens
+        for i, di, col in self._live:
+            z = sum([x[k] * c for k, c in col])
+            out[i] = z % di if di else z
         return tuple(out)
 
     def is_zero(self, x):
-        return not any(self.canonical(x))
+        if len(x) != self.ngens:
+            raise ValueError("element has wrong length")
+        for _i, di, col in self._live:
+            z = sum([x[k] * c for k, c in col])
+            if z % di if di else z:
+                return False
+        return True
 
     def equal(self, x, y):
-        return self.canonical(x) == self.canonical(y)
+        if len(x) != len(y):
+            raise ValueError("element has wrong length")
+        return self.is_zero([a - b for a, b in zip(x, y)])
 
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
@@ -352,18 +375,12 @@ class FgAbGroup:
         """Iterate over all elements of a finite group, in a fixed order."""
         if self.order() is None:
             raise ValueError("group is infinite")
-
-        def rec(prefix, idx):
-            if idx == self.ngens:
-                yield tuple(vecmat(prefix, self._rinv))
-                return
-            for v in range(self._dvec[idx]):
-                yield from rec(prefix + [v], idx + 1)
-
-        if self.ngens == 0:
-            yield ()
-        else:
-            yield from rec([], 0)
+        if not self._live:
+            yield self.zero()
+            return
+        # live canonical coordinates in lexicographic order
+        for coords in product(*(range(di) for _i, di, _col in self._live)):
+            yield tuple(vecmat(coords, self._rinv))
 
     def random_element(self, rng, bound=9):
         return tuple(rng.randint(-bound, bound) for _ in range(self.ngens))
@@ -428,19 +445,18 @@ class AbHom:
 
     @classmethod
     def identity(cls, group):
-        return cls(group, group, identity_matrix(group.ngens), check=False)
+        n = group.ngens
+        return _hom(group, group, [unit_vector(n, i) for i in range(n)])
 
     @classmethod
     def zero(cls, source, target):
-        return cls(source, target,
-                   [[0] * target.ngens for _ in range(source.ngens)],
-                   check=False)
+        return _hom(source, target, [(0,) * target.ngens] * source.ngens)
 
     @classmethod
     def scalar(cls, group, c):
-        return cls(group, group,
-                   [[c if i == j else 0 for j in range(group.ngens)]
-                    for i in range(group.ngens)], check=False)
+        return _hom(group, group,
+                    [[c if i == j else 0 for j in range(group.ngens)]
+                     for i in range(group.ngens)])
 
     def apply(self, x):
         if len(x) != self.source.ngens:
@@ -455,41 +471,48 @@ class AbHom:
                 inner.target.ngens != self.source.ngens:
             raise ValueError("homomorphisms do not compose")
         if self.source.ngens == 0:
-            mat = [[0] * self.target.ngens
-                   for _ in range(inner.source.ngens)]
+            mat = [(0,) * self.target.ngens] * inner.source.ngens
         else:
             mat = matmul(inner.matrix, self.matrix)
-        return AbHom(inner.source, self.target, mat, check=False)
+        return _hom(inner.source, self.target, mat)
 
     def add(self, other):
         mat = [[a + b for a, b in zip(r1, r2)]
                for r1, r2 in zip(self.matrix, other.matrix)]
-        return AbHom(self.source, self.target, mat, check=False)
+        return _hom(self.source, self.target, mat)
 
     def sub(self, other):
         mat = [[a - b for a, b in zip(r1, r2)]
                for r1, r2 in zip(self.matrix, other.matrix)]
-        return AbHom(self.source, self.target, mat, check=False)
+        return _hom(self.source, self.target, mat)
 
     def scale_by(self, c):
         mat = [[c * a for a in row] for row in self.matrix]
-        return AbHom(self.source, self.target, mat, check=False)
+        return _hom(self.source, self.target, mat)
 
     def power(self, j):
-        """j-fold composite of an endomorphism."""
+        """j-fold composite of an endomorphism, by repeated squaring."""
         if self.source.ngens != self.target.ngens:
             raise ValueError("power of a non-endomorphism")
-        out = AbHom.identity(self.source)
-        for _ in range(j):
-            out = self.compose(out)
-        return out
+        if j < 0:
+            raise ValueError("negative power %d" % j)
+        out = None
+        base = self
+        while j:
+            if j & 1:
+                out = base if out is None else base.compose(out)
+            j >>= 1
+            if j:
+                base = base.compose(base)
+        return AbHom.identity(self.source) if out is None else out
 
     def equal(self, other):
         if self.source.ngens != other.source.ngens or \
                 self.target.ngens != other.target.ngens:
             return False
+        is_zero = self.target.is_zero
         for r1, r2 in zip(self.matrix, other.matrix):
-            if self.target.canonical(r1) != self.target.canonical(r2):
+            if r1 != r2 and not is_zero([a - b for a, b in zip(r1, r2)]):
                 return False
         return True
 
@@ -501,6 +524,16 @@ class AbHom:
 
     def __repr__(self):
         return "AbHom(%d -> %d gens)" % (self.source.ngens, self.target.ngens)
+
+
+def _hom(source, target, matrix):
+    """AbHom from a matrix of ints with the right shape, built without
+    the public constructor's coercion and relation check."""
+    hom = object.__new__(AbHom)
+    object.__setattr__(hom, "source", source)
+    object.__setattr__(hom, "target", target)
+    object.__setattr__(hom, "matrix", tuple(map(tuple, matrix)))
+    return hom
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +572,7 @@ def kernel(hom):
     kgens = _solution_lattice(hom)
     if not kgens:
         triv = FgAbGroup(0)
-        return triv, AbHom(triv, src, [], check=False)
+        return triv, _hom(triv, src, [])
     # relations among the kernel generators, taken inside the source group
     stacked = kgens + list(src.relations)
     basis = _left_kernel_lattice(stacked, len(stacked), src.ngens)
@@ -567,7 +600,7 @@ def cokernel(hom):
     tgt = hom.target
     rels = list(tgt.relations) + list(hom.matrix)
     cgroup = FgAbGroup(tgt.ngens, rels)
-    proj = AbHom(tgt, cgroup, identity_matrix(tgt.ngens), check=False)
+    proj = _hom(tgt, cgroup, identity_matrix(tgt.ngens))
     return cgroup, proj
 
 
@@ -583,7 +616,7 @@ def quotient_by_endomorphism_family(group, endos):
             if any(row):
                 rels.append(row)
     q = FgAbGroup(group.ngens, rels)
-    return q, AbHom(group, q, identity_matrix(group.ngens), check=False)
+    return q, _hom(group, q, identity_matrix(group.ngens))
 
 
 def direct_sum(*groups):
@@ -607,7 +640,7 @@ def direct_sum(*groups):
         for i in range(g.ngens):
             inj[i][offset + i] = 1
             prj[offset + i][i] = 1
-        injections.append(AbHom(g, total, inj, check=False))
+        injections.append(_hom(g, total, inj))
         projections.append(AbHom(total, g, prj, check=True))
         offset += g.ngens
     return total, injections, projections

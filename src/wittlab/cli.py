@@ -408,7 +408,7 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    except (WittlabError, ValueError, AssertionError, KeyError) as exc:
+    except (WittlabError, ValueError, KeyError) as exc:
         print(json.dumps({"error": "%s: %s" % (type(exc).__name__, exc)}),
               file=sys.stderr)
         return 1

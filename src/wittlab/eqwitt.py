@@ -14,7 +14,8 @@ by the Witt identification; the multiplicative lift is q . n . eta.
 
 from . import abgroups, mackey
 from .abgroups import AbHom, FgAbGroup, unit_vector
-from .errors import LengthTooShort, NotApplicable, NotASubgroup
+from .errors import (InternalInvariantFailure, LengthTooShort, NotApplicable,
+                     NotASubgroup)
 from .mackey import MackeyFunctor, MackeyMap, box_product, divisors
 from .tambara import (GreenFunctor, GreenMap, norm_functor, split_p_part,
                       zeta_green)
@@ -168,7 +169,7 @@ def restriction_r(W):
         ident = AbHom(phi.level(d), target.green.level(d),
                       _witt_identification_rows(W, target, d), check=True)
         if not abgroups.is_isomorphism(ident):
-            raise AssertionError(
+            raise InternalInvariantFailure(
                 "Witt identification is not an isomorphism at level %d" % d)
         comps[d] = ident.compose(proj.components[d])
     rmap = GreenMap(zeta_green(W.green, pnu), target.green, comps)

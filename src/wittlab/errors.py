@@ -36,6 +36,18 @@ class MackeyAxiomFailure(WittlabError):
     Mackey axioms; the message names the axiom and where it fails."""
 
 
+class TambaraAxiomFailure(WittlabError):
+    """A Green or Tambara functor, or a map of Green functors, breaks
+    one of its ring or norm axioms; the message names the axiom and
+    where it fails."""
+
+
+class InternalInvariantFailure(WittlabError):
+    """A result that holds by theorem for validated inputs failed to
+    hold.  Like InternalIntegralityFailure, this always signals an
+    implementation bug, never bad user input."""
+
+
 class ActionOrderInvalid(WittlabError):
     """A group action whose order does not divide the group order."""
 

@@ -18,7 +18,8 @@ from math import gcd
 
 from . import abgroups
 from .abgroups import AbHom, FgAbGroup, unit_vector
-from .errors import (ActionOrderInvalid, GroupMismatch, MackeyAxiomFailure,
+from .errors import (ActionOrderInvalid, GroupMismatch,
+                     InternalInvariantFailure, MackeyAxiomFailure,
                      NotASubgroup)
 
 
@@ -167,23 +168,25 @@ class MackeyFunctor:
         N = self.N
         for d in self.group.divisors:
             w = self.weyl[d]
-            _require(abgroups.is_isomorphism(w),
-                     "weyl[%d] not invertible" % d)
-            _require(w.power(N // d).equal(AbHom.identity(self.level(d))),
-                     "weyl[%d] does not have order dividing %d"
-                     % (d, N // d))
+            # w^(N/d) = 1 makes w^(N/d - 1) an inverse of w, so the
+            # isomorphism test only picks the message
+            if not w.power(N // d).equal(AbHom.identity(self.level(d))):
+                _require(abgroups.is_isomorphism(w), MackeyAxiomFailure,
+                         "weyl[%d] not invertible", d)
+                raise MackeyAxiomFailure(
+                    "weyl[%d] does not have order dividing %d" % (d, N // d))
         for (dsub, d) in self.group.covering_pairs():
             r = self.res[(d, dsub)]
             t = self.tr[(dsub, d)]
             _require(r.compose(self.weyl[d]).equal(
-                self.weyl[dsub].compose(r)),
-                "res and weyl do not commute at (%d, %d)" % (dsub, d))
+                self.weyl[dsub].compose(r)), MackeyAxiomFailure,
+                "res and weyl do not commute at (%d, %d)", dsub, d)
             _require(self.weyl[d].compose(t).equal(
-                t.compose(self.weyl[dsub])),
-                "tr and weyl do not commute at (%d, %d)" % (dsub, d))
+                t.compose(self.weyl[dsub])), MackeyAxiomFailure,
+                "tr and weyl do not commute at (%d, %d)", dsub, d)
             _require(t.compose(self.weyl[dsub].power(N // d)).equal(t),
-                     "transfer does not coequalize the Weyl action at %d"
-                     % d)
+                     MackeyAxiomFailure,
+                     "transfer does not coequalize the Weyl action at %d", d)
         # transitivity: the two prime orders around each square agree
         for d in self.group.divisors:
             qs = sorted(set(prime_steps(d)))
@@ -194,21 +197,25 @@ class MackeyFunctor:
                             self.res[(d, d // a)])
                         r2 = self.res[(d // b, d // (a * b))].compose(
                             self.res[(d, d // b)])
-                        _require(r1.equal(r2), "res transitivity at %d" % d)
+                        _require(r1.equal(r2), MackeyAxiomFailure,
+                                 "res transitivity at %d", d)
                         t1 = self.tr[(d // a, d)].compose(
                             self.tr[(d // (a * b), d // a)])
                         t2 = self.tr[(d // b, d)].compose(
                             self.tr[(d // (a * b), d // b)])
-                        _require(t1.equal(t2), "tr transitivity at %d" % d)
-        # double coset law on every comparable pair
+                        _require(t1.equal(t2), MackeyAxiomFailure,
+                                 "tr transitivity at %d", d)
+        # double coset law on every comparable pair; the exponents j N/d,
+        # j < d/e, stay below N/e, so one running power builds the sum
         for (e, d) in self.group.comparable_pairs():
             lhs = self.res_map(d, e).compose(self.tr_map(e, d))
-            rhs = None
-            for j in range(d // e):
-                term = self.weyl[e].power((j * (N // d)) % (N // e))
-                rhs = term if rhs is None else rhs.add(term)
-            _require(lhs.equal(rhs),
-                     "double coset law fails at (%d, %d)" % (e, d))
+            step = self.weyl[e].power(N // d)
+            term = rhs = AbHom.identity(self.level(e))
+            for _ in range(d // e - 1):
+                term = step.compose(term)
+                rhs = rhs.add(term)
+            _require(lhs.equal(rhs), MackeyAxiomFailure,
+                     "double coset law fails at (%d, %d)", e, d)
         return True
 
     def to_json(self):
@@ -269,16 +276,17 @@ class MackeyMap:
         for d in src.group.divisors:
             f = self.components[d]
             _require(f.compose(src.weyl[d]).equal(tgt.weyl[d].compose(f)),
-                     "component %d does not commute with weyl" % d)
+                     MackeyAxiomFailure,
+                     "component %d does not commute with weyl", d)
         for (dsub, d) in src.group.covering_pairs():
             fd = self.components[d]
             fsub = self.components[dsub]
             _require(fsub.compose(src.res[(d, dsub)]).equal(
-                tgt.res[(d, dsub)].compose(fd)),
-                "component does not commute with res at (%d, %d)" % (dsub, d))
+                tgt.res[(d, dsub)].compose(fd)), MackeyAxiomFailure,
+                "component does not commute with res at (%d, %d)", dsub, d)
             _require(fd.compose(src.tr[(dsub, d)]).equal(
-                tgt.tr[(dsub, d)].compose(fsub)),
-                "component does not commute with tr at (%d, %d)" % (dsub, d))
+                tgt.tr[(dsub, d)].compose(fsub)), MackeyAxiomFailure,
+                "component does not commute with tr at (%d, %d)", dsub, d)
         return True
 
     def is_levelwise_isomorphism(self):
@@ -290,10 +298,11 @@ class MackeyMap:
                    for f in self.components.values())
 
 
-def _require(ok, message):
-    """Validation that survives ``python -O``, unlike ``assert``."""
+def _require(ok, exc, message, *args):
+    """Validation that survives ``python -O``, unlike ``assert``: raise
+    `exc` unless `ok`; the message is formatted only on failure."""
     if not ok:
-        raise MackeyAxiomFailure(message)
+        raise exc(message % args)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +374,8 @@ def fixed_point_levels(A, action, N):
 def _factor_through_inclusion(vec, incl):
     pre = abgroups.preimage(incl, vec)
     if pre is None:
-        raise AssertionError("element does not lie in the fixed subgroup")
+        raise InternalInvariantFailure(
+            "element does not lie in the fixed subgroup")
     return pre
 
 

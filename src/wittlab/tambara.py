@@ -26,12 +26,13 @@ from math import gcd
 
 from . import abgroups
 from .abgroups import AbHom, FgAbGroup, unit_vector
-from .errors import NotASubgroup, PrimeDividesN, UnsupportedInput
+from .errors import (NotASubgroup, PrimeDividesN, TambaraAxiomFailure,
+                     UnsupportedInput)
 from .mackey import (CyclicGroupSpec, MackeyFunctor, MackeyMap,
-                     _factor_through_inclusion, _fixed_point_mackey,
+                     _factor_through_inclusion, _fixed_point_mackey, _require,
                      burnside, divisors, prime_steps, zeta)
 from .rings import IntegerRing, ModularRing, is_prime
-from .witt import WittRing, witt_from_ghost_over_z
+from .witt import WittRing, _ghost, _solve
 
 
 class GreenFunctor:
@@ -97,50 +98,57 @@ class GreenFunctor:
             # structure constants descend to the presented quotient
             for rel in level.relations:
                 for g in gens:
-                    assert level.is_zero(self.multiply(d, rel, g)), \
-                        "multiplication ill-defined at level %d" % d
+                    _require(level.is_zero(self.multiply(d, rel, g)),
+                             TambaraAxiomFailure,
+                             "multiplication ill-defined at level %d", d)
             for i, gi in enumerate(gens):
-                assert level.equal(self.multiply(d, self.one[d], gi), gi), \
-                    "unit fails at level %d" % d
+                _require(level.equal(self.multiply(d, self.one[d], gi), gi),
+                         TambaraAxiomFailure, "unit fails at level %d", d)
                 for j, gj in enumerate(gens):
-                    assert level.equal(self.multiply(d, gi, gj),
-                                       self.multiply(d, gj, gi)), \
-                        "commutativity fails at level %d" % d
+                    _require(level.equal(self.multiply(d, gi, gj),
+                                         self.multiply(d, gj, gi)),
+                             TambaraAxiomFailure,
+                             "commutativity fails at level %d", d)
                     for gk in gens:
                         lhs = self.multiply(d, self.multiply(d, gi, gj), gk)
                         rhs = self.multiply(d, gi, self.multiply(d, gj, gk))
-                        assert level.equal(lhs, rhs), \
-                            "associativity fails at level %d" % d
+                        _require(level.equal(lhs, rhs), TambaraAxiomFailure,
+                                 "associativity fails at level %d", d)
             w = mk.weyl[d]
-            assert level.equal(w.apply(self.one[d]), self.one[d]), \
-                "weyl does not fix the unit at level %d" % d
+            _require(level.equal(w.apply(self.one[d]), self.one[d]),
+                     TambaraAxiomFailure,
+                     "weyl does not fix the unit at level %d", d)
             for gi in gens:
                 for gj in gens:
-                    assert level.equal(
+                    _require(level.equal(
                         w.apply(self.multiply(d, gi, gj)),
-                        self.multiply(d, w.apply(gi), w.apply(gj))), \
-                        "weyl is not a ring map at level %d" % d
+                        self.multiply(d, w.apply(gi), w.apply(gj))),
+                        TambaraAxiomFailure,
+                        "weyl is not a ring map at level %d", d)
         for (dsub, d) in mk.group.covering_pairs():
             r = mk.res[(d, dsub)]
             t = mk.tr[(dsub, d)]
             ld, lsub = mk.level(d), mk.level(dsub)
-            assert lsub.equal(r.apply(self.one[d]), self.one[dsub]), \
-                "res does not preserve the unit at (%d, %d)" % (dsub, d)
+            _require(lsub.equal(r.apply(self.one[d]), self.one[dsub]),
+                     TambaraAxiomFailure,
+                     "res does not preserve the unit at (%d, %d)", dsub, d)
             for i in range(ld.ngens):
                 gi = unit_vector(ld.ngens, i)
                 for j in range(ld.ngens):
                     gj = unit_vector(ld.ngens, j)
-                    assert lsub.equal(
+                    _require(lsub.equal(
                         r.apply(self.multiply(d, gi, gj)),
-                        self.multiply(dsub, r.apply(gi), r.apply(gj))), \
-                        "res is not a ring map at (%d, %d)" % (dsub, d)
+                        self.multiply(dsub, r.apply(gi), r.apply(gj))),
+                        TambaraAxiomFailure,
+                        "res is not a ring map at (%d, %d)", dsub, d)
                 # Frobenius reciprocity x tr(y) = tr(res(x) y), bilinear
                 for j in range(lsub.ngens):
                     y = unit_vector(lsub.ngens, j)
                     lhs = self.multiply(d, gi, t.apply(y))
                     rhs = t.apply(self.multiply(dsub, r.apply(gi), y))
-                    assert ld.equal(lhs, rhs), \
-                        "Frobenius reciprocity fails at (%d, %d)" % (dsub, d)
+                    _require(ld.equal(lhs, rhs), TambaraAxiomFailure,
+                             "Frobenius reciprocity fails at (%d, %d)",
+                             dsub, d)
         return True
 
     def to_json(self):
@@ -189,15 +197,16 @@ class TambaraFunctor:
         for (dsub, d) in mk.group.covering_pairs():
             nmap = self.norms[(dsub, d)]
             lsub, ld = mk.level(dsub), mk.level(d)
-            assert ld.equal(nmap(self.green.one[dsub]), self.green.one[d]), \
-                "norm does not preserve 1 at (%d, %d)" % (dsub, d)
+            _require(ld.equal(nmap(self.green.one[dsub]), self.green.one[d]),
+                     TambaraAxiomFailure,
+                     "norm does not preserve 1 at (%d, %d)", dsub, d)
             pool = _sample_pool(lsub, rng, samples)
             for x in pool:
                 for y in pool:
                     lhs = nmap(self.green.multiply(dsub, x, y))
                     rhs = self.green.multiply(d, nmap(x), nmap(y))
-                    assert ld.equal(lhs, rhs), \
-                        "norm not multiplicative at (%d, %d)" % (dsub, d)
+                    _require(ld.equal(lhs, rhs), TambaraAxiomFailure,
+                             "norm not multiplicative at (%d, %d)", dsub, d)
             r = mk.res[(d, dsub)]
             for x in pool:
                 prod = self.green.one[dsub]
@@ -206,9 +215,10 @@ class TambaraFunctor:
                         dsub, prod,
                         mk.weyl[dsub].power((j * (N // d)) % (N // dsub))
                         .apply(x))
-                assert lsub.equal(r.apply(nmap(x)), prod), \
-                    "res of norm is not the Weyl orbit product at " \
-                    "(%d, %d)" % (dsub, d)
+                _require(lsub.equal(r.apply(nmap(x)), prod),
+                         TambaraAxiomFailure,
+                         "res of norm is not the Weyl orbit product at "
+                         "(%d, %d)", dsub, d)
         return True
 
     def to_json(self):
@@ -238,8 +248,8 @@ class GreenMap(MackeyMap):
         for d in src.mackey.group.divisors:
             f = self.components[d]
             lt = tgt.level(d)
-            assert lt.equal(f.apply(src.one[d]), tgt.one[d]), \
-                "unit not preserved at level %d" % d
+            _require(lt.equal(f.apply(src.one[d]), tgt.one[d]),
+                     TambaraAxiomFailure, "unit not preserved at level %d", d)
             n = src.level(d).ngens
             for i in range(n):
                 for j in range(n):
@@ -247,8 +257,8 @@ class GreenMap(MackeyMap):
                                                unit_vector(n, j)))
                     rhs = tgt.multiply(d, f.apply(unit_vector(n, i)),
                                        f.apply(unit_vector(n, j)))
-                    assert lt.equal(lhs, rhs), \
-                        "component at level %d is not a ring map" % d
+                    _require(lt.equal(lhs, rhs), TambaraAxiomFailure,
+                             "component at level %d is not a ring map", d)
         return True
 
 
@@ -377,16 +387,24 @@ def _modulus(spec):
 def present_witt_ring(wr):
     """Present W_k(A), A = Z or Z/m, on the basis V^j(1), j < k.
 
-    Both directions are plain integer arithmetic on ghost vectors over
-    Z, where ghost(V^j(1))_n = p^j for n >= j.  Decoding c solves the
-    ghost vector (sum_{j<=n} c_j p^j)_n; encoding lifts the coordinates
-    to Z and reads c_n = (w_n - w_{n-1}) / p^n off the ghost vector,
-    exact by Dwork's lemma.  Over Z/m the relations m e_j -
-    encode(m V^j(1)) are triangular with diagonal m, so their index
-    m^k is the order of W_k(Z/m); encode reduces each c_j into [0, m)
-    along them, low index first.
+    Both directions are integer arithmetic on ghost vectors, where
+    ghost(V^j(1))_n = p^j for n >= j.  Decoding c solves the ghost
+    vector (sum_{j<=n} c_j p^j)_n; encoding reads c_n = (w_n - w_{n-1})
+    / p^n off the ghost vector of the coordinates' lifts, exact by
+    Dwork's lemma.  Over Z/m the relations m e_j - encode(m V^j(1)) are
+    triangular with diagonal m, so their index m^k is the order of
+    W_k(Z/m); encode reduces each c_j into [0, m) along them, low index
+    first, which picks the one representative with all entries in
+    [0, m).  Decode solves over the cover of ``WittRing`` arithmetic:
+    Z itself, or Z/(m p^k) over Z/m.  Over Z encode is exact; over Z/m
+    it takes the ghost vector modulo (m p)^k: that fixes each c_n
+    modulo m^k p^(k-n), and the relation lattice contains m^k Z^k, so
+    the reduced representative is the exact one.  Entries stay at
+    O(k log(m p)) bits instead of growing p^k-fold.
     """
     p, k, m = wr.p, wr.k, _modulus(wr.ring)
+    dmod = wr._cover_modulus(k)
+    emod = (m * p) ** k if m else None
 
     def decode(vec):
         ghost = []
@@ -394,14 +412,12 @@ def present_witt_ring(wr):
         for j, c in enumerate(vec):
             acc += c * p ** j
             ghost.append(acc)
-        return wr.vector(witt_from_ghost_over_z(p, ghost))
+        return wr.vector(_solve(p, ghost, dmod))
 
     def encode(w):
         out = []
         prev = 0
-        for n in range(k):
-            g = sum(p ** i * w.coords[i] ** p ** (n - i)
-                    for i in range(n + 1))
+        for n, g in enumerate(_ghost(p, w.coords, emod)):
             out.append((g - prev) // p ** n)
             prev = g
         for j, row in enumerate(rels):

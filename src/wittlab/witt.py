@@ -379,9 +379,7 @@ def witt_from_ghost_over_z(p, ghost):
 
     It solves the triangular system directly instead of evaluating the
     cached universal polynomials, so the tests use it as an independent
-    oracle for the polynomial arithmetic.  At runtime it decodes
-    presented Witt rings (``tambara.present_witt_ring``), whose
-    coordinates in the basis V^j(1) have an integer ghost vector.
+    oracle for the polynomial arithmetic.
     Raises ArithmeticError when the ghost vector is not in the image.
     """
     coords = []

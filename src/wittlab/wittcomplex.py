@@ -21,7 +21,7 @@ import warnings
 from . import abgroups, mackey
 from .abgroups import AbHom, FgAbGroup, unit_vector
 from .errors import (EvenPrime, MackeyAxiomFailure, MalformedData,
-                     NotApplicable, PrimeDividesN)
+                     NotApplicable, PrimeDividesN, TambaraAxiomFailure)
 from .eqwitt import (equivariant_witt, multiplicative_lift,
                      multiplicative_order, restriction_r)
 from .mackey import MackeyFunctor, divisors
@@ -378,7 +378,7 @@ def _axiom_compat(data):
         try:
             from .tambara import GreenMap
             GreenMap(restricted, target, comps)
-        except (AssertionError, MackeyAxiomFailure, ValueError) as exc:
+        except (MackeyAxiomFailure, TambaraAxiomFailure, ValueError) as exc:
             return _fail(name, towers=[s, smaller], reason=str(exc))
         # d-compatibility: compat . d == d . compat in supplied degrees
         for d in restricted.mackey.group.divisors:

@@ -184,6 +184,90 @@ class TestFgAbGroup:
         assert h.ngens == g.ngens
 
 
+
+def _mixed_presentation(ngens, factors, ops, extra):
+    """Diagonal rows for the factors (0 adds a free generator, 1 a unit
+    one), generators mixed by the unimodular column operations
+    col_j += c col_i in ``ops``, then ``extra`` rows appended."""
+    rows = [[f if j == i else 0 for j in range(ngens)]
+            for i, f in enumerate(factors) if f]
+    for i, j, c in ops:
+        if i != j:
+            for row in rows:
+                row[j] += c * row[i]
+    return rows + [list(r) for r in extra]
+
+
+presentations = st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from((0, 1, 1, 2, 3, 4, 6, 9)),
+                 min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                           st.integers(0, max(n - 1, 0)),
+                           st.integers(-3, 3)), max_size=8),
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                 max_size=2),
+        st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+                 min_size=2, max_size=4)))
+
+
+def canonical_by_full_transform(rel, ngens, x):
+    """The canonical form straight from ``_smith``: (x right) mod d over
+    every column, unit columns included."""
+    if rel:
+        d, _left, right, _rinv = _smith(rel, with_left=False)
+        dvec = [d[i][i] if i < len(rel) else 0 for i in range(ngens)]
+    else:
+        right, dvec = identity_matrix(ngens), [0] * ngens
+    z = [sum(x[k] * right[k][i] for k in range(ngens))
+         for i in range(ngens)]
+    return tuple(zi % di if di else zi for zi, di in zip(z, dvec))
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(presentations)
+    def test_matches_full_transform(self, case):
+        # the group keeps only the live (d_i != 1) columns; the old
+        # formula over all columns must give the same forms
+        n, factors, ops, extra, xs = case
+        rel = _mixed_presentation(n, factors, ops, extra)
+        g = FgAbGroup(n, rel)
+        for x in xs:
+            want = canonical_by_full_transform(rel, n, x)
+            assert g.canonical(x) == want
+            assert g.is_zero(x) == (not any(want))
+        for x, y in zip(xs, xs[1:]):
+            assert g.equal(x, y) == (g.canonical(x) == g.canonical(y))
+            # shifting by relations changes nothing
+            shifted = list(x)
+            for row in rel:
+                shifted = [a + 2 * b for a, b in zip(shifted, row)]
+            assert g.equal(x, shifted)
+            assert g.canonical(shifted) == g.canonical(x)
+
+    def test_no_generators(self):
+        g = FgAbGroup(0)
+        assert g.canonical(()) == ()
+        assert g.is_zero(())
+        assert list(g.elements()) == [()]
+
+    def test_all_unit_columns(self):
+        g = FgAbGroup(2, [[1, 1], [0, 1]])
+        assert g.is_trivial()
+        assert g.canonical((5, -7)) == (0, 0)
+        assert list(g.elements()) == [(0, 0)]
+
+    def test_wrong_length_rejected(self):
+        g = FgAbGroup(2, [[2, 0]])
+        for call in (g.canonical, g.is_zero):
+            with pytest.raises(ValueError):
+                call((1,))
+        with pytest.raises(ValueError):
+            g.equal((1, 0), (1,))
+
+
 class TestHoms:
     def test_ill_defined_rejected(self):
         z2 = FgAbGroup.from_invariant_factors([2])
@@ -200,6 +284,51 @@ class TestHoms:
         f = AbHom(z, z, [[2]])
         g = AbHom(z, z, [[3]])
         assert g.compose(f).matrix == ((6,),)
+
+    @pytest.mark.parametrize("factors", [(), (0,), (4, 6, 0), (3, 9),
+                                         (0, 0, 2)])
+    def test_power_is_iterated_compose(self, factors):
+        # a random endomorphism of Z/f_1 + ... : entry (i, j) must be
+        # a multiple of f_j / gcd(f_i, f_j), and 0 from torsion to Z
+        g = FgAbGroup.from_invariant_factors(factors)
+        rng = random.Random(len(factors))
+        mat = [[rng.randint(-2, 2) * (fj // gcd(fi, fj)) if fj
+                else (rng.randint(-2, 2) if not fi else 0)
+                for fj in factors] for fi in factors]
+        f = AbHom(g, g, mat)
+        want = AbHom.identity(g)
+        for j in range(13):
+            assert f.power(j).matrix == want.matrix, j
+            want = f.compose(want)
+        with pytest.raises(ValueError):
+            f.power(-1)
+
+    def test_internal_constructors_match_public(self):
+        g = FgAbGroup.from_invariant_factors([4, 2])
+        f = AbHom(g, g, [[1, 1], [2, 1]])
+        h = AbHom(g, g, [[3, 0], [0, 1]])
+        cases = [
+            (f.compose(h), matmul(h.matrix, f.matrix)),
+            (f.add(h), [[4, 1], [2, 2]]),
+            (f.sub(h), [[-2, 1], [2, 0]]),
+            (f.scale_by(3), [[3, 3], [6, 3]]),
+            (AbHom.identity(g), identity_matrix(2)),
+            (AbHom.zero(g, g), [[0, 0], [0, 0]]),
+            (AbHom.scalar(g, 5), [[5, 0], [0, 5]]),
+            (f.power(3), matmul(matmul(f.matrix, f.matrix), f.matrix)),
+        ]
+        for got, mat in cases:
+            assert got.matrix == AbHom(g, g, mat).matrix
+            assert all(type(row) is tuple for row in got.matrix)
+            with pytest.raises(AttributeError):
+                got.matrix = ()
+
+    def test_equal_decides_modulo_relations(self):
+        g = FgAbGroup.from_invariant_factors([4, 0])
+        f = AbHom(g, g, [[1, 0], [0, 1]])
+        assert f.equal(AbHom(g, g, [[5, 0], [4, 1]]))
+        assert not f.equal(AbHom(g, g, [[1, 0], [0, 2]]))
+        assert not f.equal(AbHom(g, g, [[3, 0], [0, 1]]))
 
     def test_preimage(self):
         z = FgAbGroup.free(2)

@@ -143,6 +143,15 @@ class TestClassicalComparison:
             w = equivariant_witt(constant_tambara(ModularRing(p), 1), p, k)
             assert w.level(p ** k).invariant_factors == (p ** (k + 1),)
 
+    def test_z9_tower_at_k13(self):
+        # invariant factors recorded from the exact-Z presenter, which
+        # took about 19 s for this tower; level 3^q is Z/3^(q+2) plus q
+        # copies of Z/3
+        w = equivariant_witt(constant_tambara(ModularRing(9), 1), 3, 13)
+        for q in range(14):
+            assert w.level(3 ** q).invariant_factors == \
+                (3,) * q + (3 ** (q + 2),)
+
     @pytest.mark.parametrize("modulus", [3, 4])
     def test_operators_match(self, modulus):
         spec = ModularRing(modulus)

@@ -253,6 +253,36 @@ class TestValidation:
         with pytest.raises(MackeyAxiomFailure, match="tr transitivity at 6"):
             m.validate()
 
+    @pytest.mark.parametrize("N, level, weyl, message", [
+        pytest.param(2, (0,), [[0]], "weyl[1] not invertible", id="Z-zero"),
+        pytest.param(2, (4,), [[2]], "weyl[1] not invertible", id="Z4-two"),
+        pytest.param(3, (0,), [[-1]],
+                     "weyl[1] does not have order dividing 3", id="Z-sign"),
+        pytest.param(2, (5,), [[2]],
+                     "weyl[1] does not have order dividing 2", id="Z5-two"),
+        pytest.param(4, (0, 0), [[0, 1], [-1, 0]], None, id="Z2-rotation"),
+    ])
+    def test_weyl_order_and_invertibility(self, N, level, weyl, message):
+        # the order test runs first; the isomorphism test then only
+        # picks which of the two messages is raised
+        group = FgAbGroup.from_invariant_factors(level)
+        m = MackeyFunctor(N, {d: group for d in divisors(N)},
+                          {(d, dsub): AbHom.identity(group)
+                           for (dsub, d) in CyclicGroupSpec(N)
+                           .covering_pairs()},
+                          {(dsub, d): AbHom.scalar(group, d // dsub)
+                           for (dsub, d) in CyclicGroupSpec(N)
+                           .covering_pairs()},
+                          {1: AbHom(group, group, weyl)})
+        if message is None:
+            with pytest.raises(MackeyAxiomFailure,
+                               match="res and weyl do not commute"):
+                m.validate()
+        else:
+            with pytest.raises(MackeyAxiomFailure) as info:
+                m.validate()
+            assert str(info.value) == message
+
     def test_map_not_commuting_with_res_is_rejected(self):
         a2 = burnside(2)
         comps = {1: AbHom.identity(a2.level(1)),

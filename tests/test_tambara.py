@@ -5,22 +5,26 @@ oracle: realize an honest G-set, enumerate the twisted function set
 Map_{C_{d'}}(C_d, X) and count orbits with their stabilizers.
 """
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product as iproduct
 
 import pytest
 
+import wittlab
 from wittlab.abgroups import AbHom, FgAbGroup
 from wittlab.errors import (ActionOrderInvalid, NotASubgroup, PrimeDividesN,
-                            UnsupportedInput)
+                            TambaraAxiomFailure, UnsupportedInput)
 from wittlab.mackey import box_product, divisors
 from wittlab.rings import IntegerRing, ModularRing, PolynomialRing
-from wittlab.tambara import (ActionRing, burnside_from_marks,
+from wittlab.tambara import (ActionRing, GreenMap, burnside_from_marks,
                              burnside_tambara, burnside_to_marks,
                              constant_tambara, fixed_point_tambara,
                              green_from_json, norm_functor,
                              present_witt_ring, zeta_green)
-from wittlab.witt import WittRing
+from wittlab.witt import WittRing, witt_from_ghost_over_z
 
 
 def norm_by_function_enumeration(dsub, d, orbit_stabilizers):
@@ -250,6 +254,50 @@ class TestNormFunctor:
             assert lvl1.equal(got, tuple((c % 3) * v for v in unit1))
 
 
+class ExactWittPresentation:
+    """The V^j(1) presentation of W_k(Z/m) with exact ghost vectors over
+    Z: decode solves with witt_from_ghost_over_z, encode lifts the
+    coordinates to Z.  Entries grow p^k-fold; a test oracle only.
+    Without ``rels`` the relations are built the slow way too."""
+
+    def __init__(self, wr, rels=None):
+        self.wr = wr
+        self.p, self.k, self.m = wr.p, wr.k, wr.ring.modulus
+        if rels is None:
+            k, m = self.k, self.m
+            self.rels = [None] * k
+            for j in reversed(range(k)):
+                row = [-c for c in self.encode(self.decode(
+                    [m if i == j else 0 for i in range(k)]))]
+                row[j] += m
+                self.rels[j] = row
+        else:
+            self.rels = [list(r) for r in rels]
+
+    def decode(self, vec):
+        ghost = []
+        acc = 0
+        for j, c in enumerate(vec):
+            acc += c * self.p ** j
+            ghost.append(acc)
+        return self.wr.vector(witt_from_ghost_over_z(self.p, ghost))
+
+    def encode(self, w):
+        p, m = self.p, self.m
+        out = []
+        prev = 0
+        for n in range(self.k):
+            g = sum(p ** i * w.coords[i] ** p ** (n - i)
+                    for i in range(n + 1))
+            out.append((g - prev) // p ** n)
+            prev = g
+        for j, row in enumerate(self.rels):
+            q = out[j] // m
+            if q:
+                out = [a - q * b for a, b in zip(out, row)]
+        return tuple(out)
+
+
 class TestPresentations:
     # invariant factors recorded from the enumerating (BFS) presenter
     # that the V^j(1) presentation replaced
@@ -283,6 +331,49 @@ class TestPresentations:
                 assert group.equal(pres.encode(wr.mul(x, y)),
                                    ring.multiply(cx, cy))
 
+    @pytest.mark.parametrize("p, k, m", [
+        pytest.param(3, 4, 9, id="p3-k4-m9"),
+        pytest.param(2, 5, 4, id="p2-k5-m4"),
+        pytest.param(5, 3, 6, id="p5-k3-m6"),
+        pytest.param(2, 4, 12, id="p2-k4-m12"),
+        pytest.param(3, 3, 1, id="p3-k3-m1"),
+        pytest.param(7, 3, 49, id="p7-k3-m49"),
+    ])
+    def test_bounded_presentation_matches_exact(self, p, k, m):
+        # over Z/m encode and decode work modulo (m p)^k and m p^k; the
+        # exact-Z formulas, with witt_from_ghost_over_z, are the oracle
+        wr = WittRing(p, k, ModularRing(m))
+        pres = present_witt_ring(wr)
+        exact = ExactWittPresentation(wr)
+        assert pres.group.relations == tuple(map(tuple, exact.rels))
+        rng = random.Random(p * k * m)
+        for _ in range(25):
+            w = wr.vector([rng.randrange(m) for _ in range(k)])
+            assert pres.encode(w) == exact.encode(w)
+            c = [rng.randint(-3 * m, 3 * m) for _ in range(k)]
+            assert pres.decode(c).coords == exact.decode(c).coords
+            assert pres.encode(pres.decode(c)) == exact.encode(
+                exact.decode(c))
+
+    def test_bounded_presentation_at_k13(self):
+        # the exact decode takes seconds here, so decode is checked by
+        # round trips through the exact encode
+        p, k, m = 3, 13, 9
+        wr = WittRing(p, k, ModularRing(m))
+        pres = present_witt_ring(wr)
+        exact = ExactWittPresentation(wr, pres.group.relations)
+        assert pres.group.order() == m ** k
+        rng = random.Random(13)
+        for _ in range(5):
+            w = wr.vector([rng.randrange(m) for _ in range(k)])
+            code = pres.encode(w)
+            assert code == exact.encode(w)
+            assert all(0 <= c < m for c in code)
+            assert pres.decode(code).coords == w.coords
+            x = wr.vector([rng.randrange(m) for _ in range(k)])
+            assert pres.group.equal(pres.encode(wr.mul(w, x)),
+                                    exact.encode(wr.mul(w, x)))
+
     def test_f3_relations_are_triangular(self):
         pres = present_witt_ring(WittRing(3, 3, ModularRing(3)))
         assert pres.group.relations == ((3, -1, 0), (0, 3, -1), (0, 0, 3))
@@ -305,6 +396,54 @@ class TestPresentations:
             assert pres.group.equal(
                 pres.encode(wr.add(x, y)),
                 pres.group.add(pres.encode(x), pres.encode(y)))
+            # over Z decode is the exact triangular solve
+            c = [rng.randint(-50, 50) for _ in range(3)]
+            ghost = [sum(c[j] * 3 ** j for j in range(n + 1))
+                     for n in range(3)]
+            assert pres.decode(c).coords == witt_from_ghost_over_z(3, ghost)
+
+
+CORRUPT_GREEN = """
+from wittlab.errors import WittlabError
+from wittlab.rings import ModularRing
+from wittlab.tambara import GreenFunctor, constant_tambara
+g = constant_tambara(ModularRing(9), 2).green
+mul = dict(g.mul)
+mul[2] = (((2,),),)
+try:
+    GreenFunctor(g.mackey, mul, g.one).validate_green()
+except WittlabError as exc:
+    print("%s: %s" % (type(exc).__name__, exc))
+"""
+
+
+class TestTypedValidation:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_corrupted_green_is_rejected(self, flags):
+        # 1 * 1 = 2 at level 2; validation must not rely on assert,
+        # which python -O strips
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(wittlab.__file__))
+        proc = subprocess.run([sys.executable] + flags + ["-c", CORRUPT_GREEN],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "TambaraAxiomFailure: unit fails at level 2\n"
+
+    def test_bad_norm_is_rejected(self):
+        t = constant_tambara(ModularRing(9), 2)
+        t.norms[(1, 2)] = lambda x: (2 * x[0],)
+        with pytest.raises(TambaraAxiomFailure,
+                           match=r"norm does not preserve 1 at \(1, 2\)"):
+            t.validate_tambara(random.Random(0))
+
+    def test_non_ring_map_is_rejected(self):
+        g = constant_tambara(ModularRing(9), 2).green
+        comps = {d: AbHom.scalar(g.level(d), 2) for d in (1, 2)}
+        with pytest.raises(TambaraAxiomFailure,
+                           match="unit not preserved at level 1"):
+            GreenMap(g, g, comps)
 
 
 class TestZetaGreen:

@@ -108,6 +108,19 @@ class TestEquivariantViolations:
         assert check_equivariant(bad1).to_json() == \
             check_equivariant(bad2).to_json()
 
+    def test_compat_that_is_not_a_ring_map_fails(self):
+        # -1 is an isomorphism of Mackey functors but sends 1 to -1: the
+        # Green-map check rejects it with a typed error, reported as a
+        # failed axiom
+        data = family_const_f3_n1(S=1)
+        comps = data.compat[(1, 0)][0]
+        data.compat[(1, 0)] = {0: {d: f.scale_by(-1)
+                                   for d, f in comps.items()}}
+        report = check_equivariant(data)
+        failure = report.failures()[0]
+        assert failure.name == "compatibility isomorphisms"
+        assert failure.witness["reason"] == "unit not preserved at level 1"
+
     def test_identity_differential_breaks_leibniz(self):
         bad = with_identity_differential(family_const_f3_n1(S=1), 1)
         report = check_equivariant(bad)
