@@ -80,6 +80,22 @@ def vecmat(v, m):
     return acc
 
 
+def bilinear(table, x, y, n):
+    """The product of x and y given by structure constants: the sum of
+    x_i y_j table[i][j] over the non-zero entries, a tuple of length n."""
+    acc = [0] * n
+    for i, xi in enumerate(x):
+        if xi:
+            row = table[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    c = xi * yj
+                    for t, v in enumerate(row[j]):
+                        if v:
+                            acc[t] += c * v
+    return tuple(acc)
+
+
 def determinant(m):
     """Exact determinant via fraction-based Gaussian elimination."""
     n = len(m)

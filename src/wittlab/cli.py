@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import abgroups, eqwitt, mackey, tambara, wittcomplex
-from .errors import WittlabError
+from .errors import MalformedData, WittlabError
 from .mackey import MackeyFunctor, divisors
 from .rings import parse_ring
 from .witt import WittRing
@@ -42,15 +42,30 @@ def _tabulate(obj, prefix=""):
 
 
 def _load_json(path):
+    def no_float(text):
+        # no wittlab schema holds a float; int() would truncate one
+        raise MalformedData("non-integer number %s in %s" % (text, path))
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=no_float,
+                             parse_constant=no_float)
     except FileNotFoundError:
         raise SystemExit(2)
     except json.JSONDecodeError as exc:
         print(json.dumps({"error": "invalid JSON in %s: %s" % (path, exc)}),
               file=sys.stderr)
         raise SystemExit(2)
+
+
+def _from_file(path, build):
+    """build(JSON of the file); a value of the wrong JSON type, which
+    surfaces as a TypeError or AttributeError, raises MalformedData."""
+    data = _load_json(path)
+    try:
+        return build(data)
+    except (TypeError, AttributeError) as exc:
+        raise MalformedData("malformed %s: %s" % (path, exc))
 
 
 def _parse_coords(text, ring, expected):
@@ -123,16 +138,15 @@ def repr_el(x):
 
 
 def _cmd_mackey(args):
-    data = _load_json(args.file)
-    m = MackeyFunctor.from_json(data)
+    m = _from_file(args.file, MackeyFunctor.from_json)
     m.validate()
     _emit(m.to_json(), args.format)
     return 0
 
 
 def _cmd_box(args):
-    a = MackeyFunctor.from_json(_load_json(args.a))
-    b = MackeyFunctor.from_json(_load_json(args.b))
+    a = _from_file(args.a, MackeyFunctor.from_json)
+    b = _from_file(args.b, MackeyFunctor.from_json)
     a.validate()
     b.validate()
     box = mackey.box_product(a, b)
@@ -145,20 +159,8 @@ def _cmd_box(args):
 # tambara inputs
 
 
-def _tambara_from_json(data):
-    tag = data.get("norm_class")
-    N = int(data["N"])
-    if tag == "burnside":
-        return tambara.burnside_tambara(N)
-    if isinstance(tag, str) and tag.startswith("constant:"):
-        spec = parse_ring(tag.split(":", 1)[1])
-        return tambara.constant_tambara(spec, N)
-    raise WittlabError("unsupported norm_class %r" % tag)
-
-
 def _cmd_norm(args):
-    data = _load_json(args.input)
-    R = _tambara_from_json(data)
+    R = _from_file(args.input, tambara.tambara_from_json)
     rng = random.Random(args.seed)
     out = tambara.norm_functor(R, args.p, args.k)
     out.green.validate_green(rng)
@@ -173,7 +175,7 @@ def _cmd_norm(args):
 
 def _cmd_eqwitt(args):
     if args.input:
-        R = _tambara_from_json(_load_json(args.input))
+        R = _from_file(args.input, tambara.tambara_from_json)
     elif args.ring:
         spec = parse_ring(args.ring)
         R = tambara.constant_tambara(spec, args.n)
@@ -228,7 +230,7 @@ def family_to_json(data):
         raise WittlabError("only degree-zero families serialize to JSON")
     out = {
         "p": data.p, "n": data.n, "S": data.S, "D": 0,
-        "base": {"norm_class": data.base.kind_label(), "N": data.n},
+        "base": {"norm_class": data.base.norm_class.tag, "N": data.n},
         "E": {}, "d": {}, "r": {}, "lambda": {}, "compat": {},
     }
     for s in range(data.S + 1):
@@ -257,7 +259,7 @@ def family_to_json(data):
 def witt_complex_from_json(obj):
     """Rebuild checker input from a file; the Witt towers themselves
     are reconstructed from the base tag."""
-    base = _tambara_from_json(obj["base"])
+    base = tambara.tambara_from_json(obj["base"])
     p = int(obj["p"])
     S = int(obj["S"])
     if int(obj.get("D", 0)) != 0:
@@ -307,25 +309,16 @@ def witt_complex_from_json(obj):
                                    towers[s].level(q + 1, int(d)),
                                    hom["matrix"], check=False)
             for d, hom in maps.items()}
-    bridge = None
-    if n == 1:
-        theta = {s: wittcomplex._classical_theta(witt_tower[s])
-                 for s in range(S + 1)}
-        from .rings import IntegerRing
-        spec = (base.payload["ring_spec"] if base.kind == "constant"
-                else IntegerRing())
-        bridge = wittcomplex.ClassicalBridge(spec, theta)
-    return wittcomplex.WittComplexData(base, p, S, 0, towers, witt_tower,
-                                       d_maps=d_maps, r_maps=r_maps,
-                                       lam=lam, compat=compat,
-                                       classical_base=bridge)
+    return wittcomplex.WittComplexData(
+        base, p, S, 0, towers, witt_tower, d_maps=d_maps, r_maps=r_maps,
+        lam=lam, compat=compat,
+        classical_base=wittcomplex.classical_bridge(base, witt_tower))
 
 
 def _cmd_check(args):
     if args.target != "witt-complex":
         raise ValueError("unknown check target %r" % args.target)
-    obj = _load_json(args.file)
-    data = witt_complex_from_json(obj)
+    data = _from_file(args.file, witt_complex_from_json)
     report = wittcomplex.check_equivariant(data)
     out = report.to_json()
     if data.n == 1 and data.classical_base is not None and report.passed:

@@ -16,9 +16,8 @@ from . import abgroups, mackey
 from .abgroups import AbHom, FgAbGroup, unit_vector
 from .errors import (InternalInvariantFailure, LengthTooShort, NotApplicable,
                      NotASubgroup)
-from .mackey import MackeyFunctor, MackeyMap, box_product, divisors
-from .tambara import (GreenFunctor, GreenMap, norm_functor, split_p_part,
-                      zeta_green)
+from .mackey import MackeyFunctor, MackeyMap, box_product
+from .tambara import GreenFunctor, GreenMap, norm_functor, zeta_green
 
 
 def multiplicative_order(p, n):
@@ -47,7 +46,6 @@ class EquivariantWittFunctor:
         self.norm = norm
         self.green = green
         self.q = q
-        self.kind = norm.kind
 
     @property
     def group(self):
@@ -76,7 +74,7 @@ class EquivariantWittFunctor:
 
     def __repr__(self):
         return "EquivariantWittFunctor(n=%d, p=%d, k=%d, %s)" % (
-            self.n, self.p, self.k, self.kind)
+            self.n, self.p, self.k, self.norm.norm_class.tag)
 
 
 def _induced_quotient_green(norm_tam, levels):
@@ -122,42 +120,13 @@ def equivariant_witt(R, p, k):
 # the restriction map r
 
 
-def _witt_identification_rows(W, target, d):
-    """Rows of the isomorphism Phi^{C_{p^nu}} W.level(d p^nu) -> the
-    level d of the shorter Witt functor."""
-    pnu = W.p ** W.nu
-    if W.kind == "burnside":
-        src_divs = divisors(d * pnu)
-        tgt_divs = divisors(d)
-        rows = []
-        for e in src_divs:
-            row = [0] * len(tgt_divs)
-            if e % pnu == 0:
-                row[tgt_divs.index(e // pnu)] = 1
-            rows.append(row)
-        return rows
-    if W.kind == "witt_tower":
-        q, _m = split_p_part(d * pnu, W.p)
-        src_pres = W.norm.payload["presentations"][q]
-        tgt_pres = target.norm.payload["presentations"][q - W.nu]
-        rings = W.norm.payload["witt_rings"]
-        rows = []
-        for gen in src_pres.gens:
-            w = gen
-            for step in range(W.nu):
-                w = rings[q - step].restriction(w)
-            rows.append(tgt_pres.encode(w))
-        return rows
-    raise NotApplicable("no Witt identification for kind %r" % W.kind)
-
-
 def restriction_r(W):
     """The map r: zeta_{C_{p^nu}} W_{C_{p^k n}}(R) -> W_{C_{p^{k-nu}n}}(R).
 
     Computed as the projection onto geometric fixed points followed by
-    the Witt identification; a map of Green functors, so it commutes
-    with F and V by construction.  The returned GreenMap carries the
-    target functor as ``target_witt``.
+    the Witt identification of the norm's class; a map of Green
+    functors, so it commutes with F and V by construction.  The
+    returned GreenMap carries the target functor as ``target_witt``.
     """
     if W.k < W.nu:
         raise LengthTooShort("k = %d is below nu = %d" % (W.k, W.nu))
@@ -167,7 +136,7 @@ def restriction_r(W):
     comps = {}
     for d in phi.group.divisors:
         ident = AbHom(phi.level(d), target.green.level(d),
-                      _witt_identification_rows(W, target, d), check=True)
+                      W.norm.norm_class.witt_rows(W.p, W.nu, d), check=True)
         if not abgroups.is_isomorphism(ident):
             raise InternalInvariantFailure(
                 "Witt identification is not an isomorphism at level %d" % d)
@@ -182,17 +151,11 @@ def restriction_r(W):
 
 
 def embed_base_element(W, a, m):
-    """The unit eta of the norm adjunction on coordinates: identity for
-    Burnside, carrier translation into W_1(A) for constant functors."""
+    """The unit eta of the norm adjunction on coordinates, from the
+    norm's class: identity for Burnside, A -> W_1(A) for Witt towers."""
     if W.n % m:
         raise NotASubgroup("%d does not divide %d" % (m, W.n))
-    if W.kind == "burnside":
-        return tuple(a)
-    if W.kind == "witt_tower":
-        alpha = W.base.payload["presentation"].decode(tuple(a))
-        w1 = W.norm.payload["witt_rings"][0].vector([alpha])
-        return W.norm.payload["presentations"][0].encode(w1)
-    raise NotApplicable("no embedding for kind %r" % W.kind)
+    return W.norm.norm_class.embed(a)
 
 
 def multiplicative_lift(W, a, m):

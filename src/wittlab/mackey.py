@@ -129,9 +129,6 @@ class MackeyFunctor:
         except KeyError:
             raise NotASubgroup("%d does not divide %d" % (d, self.N))
 
-    def weyl_map(self, d):
-        return self.weyl[d]
-
     def weyl_power(self, d, j):
         return self.weyl[d].power(j % self.group.weyl_order(d)
                                   if self.group.weyl_order(d) else 0)

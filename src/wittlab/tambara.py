@@ -6,16 +6,20 @@ Tambara functor adds multiplicative (non-additive) norm maps between
 levels; norms are stored as element-level closures because no matrix
 can carry them.
 
-Two input classes support the norm functor N_{C_n}^{C_{p^k n}}:
+Each Tambara functor carries a ``norm_class`` object: its JSON tag,
+its recipe for the norm N_{C_n}^{C_{p^k n}} and, for the classes a
+norm lands in, the data eqwitt and wittcomplex need.  No other module
+knows which classes exist, so a new input class is one more object.
 
-* the Burnside Tambara functor, whose norms are computed through the
-  table-of-marks embedding A(C_d) -> prod_j Z (exponentiate the mark at
-  gcd(d', j) by the orbit count); the function-enumeration description
-  of the same norm is kept as a test oracle;
-* constant Tambara functors on a ring A, whose norm tower is the
-  classical Witt tower: level p^q m carries W_{q+1}(A), restriction in
+* ``BURNSIDE``: norms are computed through the table-of-marks
+  embedding A(C_d) -> prod_j Z (exponentiate the mark at gcd(d', j) by
+  the orbit count) and land in Burnside again; the function-enumeration
+  description of the same norm is kept as a test oracle.
+* ``Constant``: a constant Tambara functor on A; its norm is the Witt
+  tower (``WittTower``): level p^q m carries W_{q+1}(A), restriction in
   the p-direction is the Witt Frobenius, transfer the Verschiebung,
   and the internal norm the ghost-shift multiplicative transfer.
+* ``FIXED_POINT``: a ring with a C_N-action; no norm recipe yet.
 
 Each W_k(A), A = Z or Z/m, is presented on the basis V^j(1), j < k;
 its encode and decode are integer arithmetic on ghost vectors over Z
@@ -25,13 +29,13 @@ its encode and decode are integer arithmetic on ghost vectors over Z
 from math import gcd
 
 from . import abgroups
-from .abgroups import AbHom, FgAbGroup, unit_vector
+from .abgroups import AbHom, FgAbGroup, bilinear, unit_vector
 from .errors import (NotASubgroup, PrimeDividesN, TambaraAxiomFailure,
-                     UnsupportedInput)
+                     UnsupportedInput, WittlabError)
 from .mackey import (CyclicGroupSpec, MackeyFunctor, MackeyMap,
                      _factor_through_inclusion, _fixed_point_mackey, _require,
                      burnside, divisors, prime_steps, zeta)
-from .rings import IntegerRing, ModularRing, is_prime
+from .rings import IntegerRing, ModularRing, is_prime, parse_ring
 from .witt import WittRing, _ghost, _solve
 
 
@@ -61,18 +65,8 @@ class GreenFunctor:
         return self.mackey.level(d)
 
     def multiply(self, d, x, y):
-        level = self.mackey.level(d)
-        table = self.mul[d]
-        acc = [0] * level.ngens
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        c = xi * yj
-                        for t, v in enumerate(table[i][j]):
-                            if v:
-                                acc[t] += c * v
-        return tuple(acc)
+        ngens = self.mackey.level(d).ngens   # NotASubgroup for a bad d
+        return bilinear(self.mul[d], x, y, ngens)
 
     def unit(self, d):
         return self.one[d]
@@ -165,13 +159,14 @@ class TambaraFunctor:
     Norms are stored for covering pairs as closures on coordinate
     vectors; composite norms are taken along ascending prime steps
     (any order agrees, which validate_tambara spot-checks).
+    ``norm_class`` is the input class: ``BURNSIDE``, ``FIXED_POINT``,
+    a ``Constant`` or a ``WittTower``.
     """
 
-    def __init__(self, green, norms, kind, payload=None):
+    def __init__(self, green, norms, norm_class):
         self.green = green
         self.norms = dict(norms)
-        self.kind = kind
-        self.payload = dict(payload or {})
+        self.norm_class = norm_class
 
     @property
     def mackey(self):
@@ -223,13 +218,8 @@ class TambaraFunctor:
 
     def to_json(self):
         data = self.green.to_json()
-        data["norm_class"] = self.kind_label()
+        data["norm_class"] = self.norm_class.tag
         return data
-
-    def kind_label(self):
-        if self.kind == "constant":
-            return "constant:%s" % self.payload["ring_spec"].name
-        return self.kind
 
 
 class GreenMap(MackeyMap):
@@ -333,7 +323,7 @@ def burnside_tambara(N):
     norms = {}
     for (dsub, d) in mk.group.covering_pairs():
         norms[(dsub, d)] = _burnside_norm_closure(dsub, d)
-    return TambaraFunctor(green, norms, "burnside")
+    return TambaraFunctor(green, norms, BURNSIDE)
 
 
 def _burnside_norm_closure(dsub, d):
@@ -476,16 +466,7 @@ class ActionRing:
             raise ValueError("action does not fix the unit")
 
     def multiply(self, x, y):
-        acc = [0] * self.group.ngens
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        c = xi * yj
-                        for t, v in enumerate(self.mul[i][j]):
-                            if v:
-                                acc[t] += c * v
-        return tuple(acc)
+        return bilinear(self.mul, x, y, self.group.ngens)
 
     def is_trivial_action(self):
         return self.action.equal(AbHom.identity(self.group))
@@ -513,8 +494,7 @@ def fixed_point_tambara(ring, N):
         norms = {}
         for (dsub, d) in group.covering_pairs():
             norms[(dsub, d)] = _power_norm_closure(green, d, dsub, d // dsub)
-        return TambaraFunctor(green, norms, "fixed_point",
-                              {"action_ring": ring, "trivial": True})
+        return TambaraFunctor(green, norms, FIXED_POINT)
 
     mk, inclusions = _fixed_point_mackey(ring.group, ring.action, N)
     mul = {}
@@ -531,8 +511,7 @@ def fixed_point_tambara(ring, N):
     for (dsub, d) in group.covering_pairs():
         norms[(dsub, d)] = _orbit_product_norm_closure(
             ring, inclusions, N, dsub, d)
-    return TambaraFunctor(green, norms, "fixed_point",
-                          {"action_ring": ring, "trivial": False})
+    return TambaraFunctor(green, norms, FIXED_POINT)
 
 
 def _power_norm_closure(green, level_d, dsub, index):
@@ -558,13 +537,12 @@ def constant_tambara(spec, N):
     ring = ActionRing(pres.group, pres.mul, pres.one,
                       AbHom.identity(pres.group))
     out = fixed_point_tambara(ring, N)
-    out.kind = "constant"
-    out.payload.update({"ring_spec": spec, "presentation": pres})
+    out.norm_class = Constant(spec, pres)
     return out
 
 
 # ---------------------------------------------------------------------------
-# the norm functor
+# the norm functor and the norm classes
 
 
 def split_p_part(d, p):
@@ -579,8 +557,9 @@ def split_p_part(d, p):
 def norm_functor(R, p, k):
     """Norm a supported C_n-Tambara functor up to C_{p^k n}.
 
-    Burnside functors norm to Burnside functors; constant functors to
-    the Witt tower.  Everything else raises UnsupportedInput.
+    The recipe is ``R.norm_class.norm``: Burnside functors norm to
+    Burnside functors, constant functors to the Witt tower.  Everything
+    else raises UnsupportedInput.
     """
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
@@ -589,61 +568,161 @@ def norm_functor(R, p, k):
     n = R.group.N
     if n % p == 0:
         raise PrimeDividesN("p = %d divides n = %d" % (p, n))
-    if R.kind == "burnside":
+    return R.norm_class.norm(n, p, k)
+
+
+class Burnside:
+    """The Burnside Tambara functor; its norm is Burnside again.
+
+    As the class of a norm it gives the Witt identification behind r,
+    the unit eta of the norm adjunction (the identity) and, at n = 1,
+    the classical theta W_{k+1}(Z) -> A(C_{p^k}).
+    """
+
+    tag = "burnside"
+    classical_ring = IntegerRing()
+
+    def norm(self, n, p, k):
         return burnside_tambara(p ** k * n)
-    if R.kind == "constant":
-        return _constant_norm_tower(R, p, k)
-    raise UnsupportedInput(
-        "no norm recipe for Tambara functors of kind %r" % R.kind)
+
+    def witt_rows(self, p, nu, d):
+        """Phi^{C_{p^nu}} A(C_{d p^nu}) -> A(C_d): the orbit of C_e goes
+        to the orbit of C_{e / p^nu} when p^nu | e, and to 0 otherwise."""
+        pnu = p ** nu
+        tgt_divs = divisors(d)
+        rows = []
+        for e in divisors(d * pnu):
+            row = [0] * len(tgt_divs)
+            if e % pnu == 0:
+                row[tgt_divs.index(e // pnu)] = 1
+            rows.append(row)
+        return rows
+
+    def embed(self, a):
+        return tuple(a)
+
+    def classical_theta(self, p, k):
+        """W_{k+1}(Z) -> A(C_{p^k}): ghost components read as marks."""
+        wr = WittRing(p, k + 1, self.classical_ring)
+        top = p ** k
+
+        def theta(wv):
+            ghost = wr.ghost(wv)
+            return burnside_from_marks(top, [ghost[k - i]
+                                             for i in range(k + 1)])
+
+        return theta
 
 
-def _constant_norm_tower(R, p, k):
-    spec = R.payload["ring_spec"]
-    n = R.group.N
-    towers = {q: WittRing(p, q + 1, spec) for q in range(k + 1)}
-    pres = {q: present_witt_ring(towers[q]) for q in range(k + 1)}
-    group = CyclicGroupSpec(p ** k * n)
-    levels = {}
-    for d in group.divisors:
-        q, _m = split_p_part(d, p)
-        levels[d] = pres[q].group
-    res = {}
-    tr = {}
-    for (dsub, d) in group.covering_pairs():
-        q, _ = split_p_part(d, p)
-        qsub, _ = split_p_part(dsub, p)
-        if q == qsub + 1:
-            # p-direction: Witt Frobenius down, Verschiebung up
-            fro = [pres[qsub].encode(towers[q].frobenius(g))
-                   for g in pres[q].gens]
-            res[(d, dsub)] = AbHom(levels[d], levels[dsub], fro, check=True)
-            ver = [pres[q].encode(towers[q].verschiebung(g))
-                   for g in pres[qsub].gens]
-            tr[(dsub, d)] = AbHom(levels[dsub], levels[d], ver, check=True)
-        else:
-            # n-direction: identity / multiplication by the index
-            res[(d, dsub)] = AbHom.identity(levels[d])
-            tr[(dsub, d)] = AbHom.scalar(levels[d], d // dsub)
-    weyl = {d: AbHom.identity(levels[d]) for d in group.divisors}
-    mk = MackeyFunctor(group, levels, res, tr, weyl)
-    mul = {}
-    one = {}
-    for d in group.divisors:
-        q, _ = split_p_part(d, p)
-        mul[d] = pres[q].mul
-        one[d] = pres[q].one
-    green = GreenFunctor(mk, mul, one)
-    norms = {}
-    for (dsub, d) in group.covering_pairs():
-        q, _ = split_p_part(d, p)
-        qsub, _ = split_p_part(dsub, p)
-        if q == qsub + 1:
-            norms[(dsub, d)] = _witt_norm_closure(towers, pres, qsub)
-        else:
-            norms[(dsub, d)] = _power_norm_closure(green, d, dsub, d // dsub)
-    return TambaraFunctor(green, norms, "witt_tower",
-                          {"ring_spec": spec, "p": p, "k": k, "n": n,
-                           "presentations": pres, "witt_rings": towers})
+class FixedPoint:
+    """Fixed points of a ring with a C_N-action: no norm recipe yet."""
+
+    tag = "fixed_point"
+
+    def norm(self, n, p, k):
+        raise UnsupportedInput(
+            "no norm recipe for Tambara functors of class %r" % self.tag)
+
+
+BURNSIDE = Burnside()
+FIXED_POINT = FixedPoint()
+
+
+class Constant:
+    """The constant Tambara functor on A = Z or Z/m, presented on 1;
+    its norm is the ``WittTower`` of A."""
+
+    classical_ring = property(lambda self: self.spec)
+
+    def __init__(self, spec, presentation):
+        self.spec = spec
+        self.presentation = presentation
+        self.tag = "constant:%s" % spec.name
+
+    def norm(self, n, p, k):
+        towers = {q: WittRing(p, q + 1, self.spec) for q in range(k + 1)}
+        pres = {q: present_witt_ring(towers[q]) for q in range(k + 1)}
+        group = CyclicGroupSpec(p ** k * n)
+        at = {d: pres[split_p_part(d, p)[0]] for d in group.divisors}
+        levels = {d: at[d].group for d in group.divisors}
+        res = {}
+        tr = {}
+        for (dsub, d) in group.covering_pairs():
+            if d // dsub == p:
+                # p-direction: Witt Frobenius down, Verschiebung up
+                wr = towers[split_p_part(d, p)[0]]
+                fro = [at[dsub].encode(wr.frobenius(g)) for g in at[d].gens]
+                res[(d, dsub)] = AbHom(levels[d], levels[dsub], fro,
+                                       check=True)
+                ver = [at[d].encode(wr.verschiebung(g)) for g in at[dsub].gens]
+                tr[(dsub, d)] = AbHom(levels[dsub], levels[d], ver,
+                                      check=True)
+            else:
+                # n-direction: identity / multiplication by the index
+                res[(d, dsub)] = AbHom.identity(levels[d])
+                tr[(dsub, d)] = AbHom.scalar(levels[d], d // dsub)
+        weyl = {d: AbHom.identity(levels[d]) for d in group.divisors}
+        mk = MackeyFunctor(group, levels, res, tr, weyl)
+        green = GreenFunctor(mk, {d: at[d].mul for d in group.divisors},
+                             {d: at[d].one for d in group.divisors})
+        norms = {}
+        for (dsub, d) in group.covering_pairs():
+            if d // dsub == p:
+                norms[(dsub, d)] = _witt_norm_closure(
+                    towers, pres, split_p_part(dsub, p)[0])
+            else:
+                norms[(dsub, d)] = _power_norm_closure(green, d, dsub,
+                                                       d // dsub)
+        return TambaraFunctor(green, norms, WittTower(self, pres, towers))
+
+
+class WittTower:
+    """The norm of ``base``, a ``Constant`` on A: level p^q m carries
+    ``witt_rings[q]`` = W_{q+1}(A), presented by ``presentations[q]``.
+    A shorter tower on A presents its levels the same way."""
+
+    tag = "witt_tower"
+    norm = FixedPoint.norm   # no recipe for norming a norm yet
+
+    def __init__(self, base, presentations, witt_rings):
+        self.base = base
+        self.presentations = presentations
+        self.witt_rings = witt_rings
+
+    def witt_rows(self, p, nu, d):
+        """W_{q+1}(A) -> W_{q-nu+1}(A) at level d p^nu: the restriction
+        R^nu on the generators of the source presentation."""
+        q, _m = split_p_part(d * p ** nu, p)
+        target = self.presentations[q - nu]
+        rows = []
+        for gen in self.presentations[q].gens:
+            w = gen
+            for step in range(nu):
+                w = self.witt_rings[q - step].restriction(w)
+            rows.append(target.encode(w))
+        return rows
+
+    def embed(self, a):
+        """A -> W_1(A) on coordinates."""
+        alpha = self.base.presentation.decode(tuple(a))
+        w1 = self.witt_rings[0].vector([alpha])
+        return self.presentations[0].encode(w1)
+
+    def classical_theta(self, p, k):
+        """W_{k+1}(A) -> the top level: its presentation's encode."""
+        return self.presentations[k].encode
+
+
+def tambara_from_json(data):
+    """The Tambara functor of a ``{"norm_class": tag, "N": N}`` object:
+    tag ``burnside`` or ``constant:<ring>``."""
+    tag = data.get("norm_class")
+    N = int(data["N"])
+    if tag == BURNSIDE.tag:
+        return burnside_tambara(N)
+    if isinstance(tag, str) and tag.startswith("constant:"):
+        return constant_tambara(parse_ring(tag.split(":", 1)[1]), N)
+    raise WittlabError("unsupported norm_class %r" % tag)
 
 
 def _witt_norm_closure(towers, pres, qsub):

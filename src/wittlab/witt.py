@@ -30,7 +30,8 @@ oracle for small (p, k).
 
 from .errors import (InternalIntegralityFailure, LengthMismatch,
                      LengthTooShort, ParamsMismatch)
-from .rings import IntPolynomial, ModularRing, PolynomialRing, is_prime
+from .rings import (IntPolynomial, ModularRing, PolynomialRing, is_prime,
+                    ring_pow)
 
 
 class WittParams:
@@ -300,17 +301,7 @@ class WittRing:
         return self._ghost_lift(self.k, lambda a: [n * u for u in a], x)
 
     def power(self, x, n):
-        if n < 0:
-            raise ValueError("negative power")
-        acc = self.one()
-        base = x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            if n > 1:
-                base = self.mul(base, base)
-            n >>= 1
-        return acc
+        return ring_pow(self, x, n)
 
     def eq(self, x, y):
         return all(self.ring.eq(a, b) for a, b in zip(x.coords, y.coords))
@@ -377,9 +368,10 @@ def teichmuller_lift(ring, p, a, k):
 def witt_from_ghost_over_z(p, ghost):
     """Recover integer Witt coordinates from an integral ghost vector.
 
-    It solves the triangular system directly instead of evaluating the
-    cached universal polynomials, so the tests use it as an independent
-    oracle for the polynomial arithmetic.
+    It is a second, plain implementation of the triangular solve over
+    Z (no cover modulus, powers recomputed at every step), so the tests
+    use it as an oracle for the ghost-lift arithmetic and the Witt-ring
+    presentations.
     Raises ArithmeticError when the ghost vector is not in the image.
     """
     coords = []

@@ -25,9 +25,8 @@ from .errors import (EvenPrime, MackeyAxiomFailure, MalformedData,
 from .eqwitt import (equivariant_witt, multiplicative_lift,
                      multiplicative_order, restriction_r)
 from .mackey import MackeyFunctor, divisors
-from .rings import IntegerRing, is_prime
-from .tambara import (GreenFunctor, burnside_from_marks,
-                      present_witt_ring, restrict_green)
+from .rings import is_prime
+from .tambara import GreenFunctor, present_witt_ring, restrict_green
 from .witt import WittRing
 
 TRIVIAL_GROUP = FgAbGroup(0)
@@ -79,24 +78,13 @@ class GradedTower:
                 return target.zero()
             raise MalformedData(
                 "missing pairing for degrees (%d, %d)" % (q1, q2))
-        tab = table[d]
-        acc = [0] * target.ngens
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        c = xi * yj
-                        for t, v in enumerate(tab[i][j]):
-                            if v:
-                                acc[t] += c * v
-        return tuple(acc)
-
-    def power0(self, d, x, n):
-        return self.green0.power(d, x, n)
+        return abgroups.bilinear(table[d], x, y, target.ngens)
 
 
 class ClassicalBridge:
-    """Identification data from W_{s+1}(A) into the top Witt orbit."""
+    """Identification data from W_{s+1}(A) into the top Witt orbit:
+    ``theta[s]`` maps a Witt vector to coordinates of the top level of
+    the norm under tower entry s, before the coinvariant quotient."""
 
     def __init__(self, ring_spec, theta):
         self.ring_spec = ring_spec
@@ -223,38 +211,20 @@ def degree_zero_family(R, p, S):
                 comps[d] = AbHom(a, b, abgroups.identity_matrix(a.ngens),
                                  check=True)
             compat[(s, smaller)] = {0: comps}
-    bridge = None
-    if n == 1:
-        theta = {s: _classical_theta(witt_tower[s]) for s in range(S + 1)}
-        spec = (R.payload["ring_spec"] if R.kind == "constant"
-                else IntegerRing())
-        bridge = ClassicalBridge(spec, theta)
     return WittComplexData(R, p, S, 0, towers, witt_tower,
                            r_maps=r_maps, lam=lam, compat=compat,
-                           classical_base=bridge)
+                           classical_base=classical_bridge(R, witt_tower))
 
 
-def _classical_theta(W):
-    """W_{s+1}(A) -> top orbit of the Witt functor, elementwise."""
-    top = W.p ** W.k * W.n
-    if W.kind == "witt_tower":
-        pres = W.norm.payload["presentations"][W.k]
-
-        def theta(wv):
-            return W.q.components[top].apply(pres.encode(wv))
-
-        return theta
-    if W.kind == "burnside" and W.n == 1:
-        wr = WittRing(W.p, W.k + 1, IntegerRing())
-
-        def theta(wv):
-            ghost = wr.ghost(wv)
-            marks = [ghost[W.k - i] for i in range(W.k + 1)]
-            vec = burnside_from_marks(top, marks)
-            return W.q.components[top].apply(vec)
-
-        return theta
-    raise NotApplicable("no classical identification for this family")
+def classical_bridge(R, witt_tower):
+    """The identification of W_{s+1}(A) with the top orbit of entry s
+    of ``witt_tower`` at n = 1, None for n > 1.  A and each theta come
+    from the norm classes."""
+    if R.group.N != 1:
+        return None
+    return ClassicalBridge(R.norm_class.classical_ring,
+                           {s: W.norm.norm_class.classical_theta(W.p, W.k)
+                            for s, W in enumerate(witt_tower)})
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +330,14 @@ def _fail(name, **witness):
     return AxiomResult(name, "FAIL", witness)
 
 
+def _first_difference(lhs, rhs):
+    """Witness fields for the first generator on which two homs
+    differ."""
+    for i, (a, b) in enumerate(zip(lhs.matrix, rhs.matrix)):
+        if lhs.target.canonical(a) != rhs.target.canonical(b):
+            return {"generator": i, "lhs": a, "rhs": b}
+
+
 def _axiom_compat(data):
     name = "compatibility isomorphisms"
     for (s, smaller), per_degree in sorted(data.compat.items()):
@@ -443,12 +421,8 @@ def _axiom_lambda_r(data):
             lhs = data.r_maps[s][0][d].compose(data.lam[s][d * pnu])
             rhs = data.lam[s - data.nu][d].compose(witt_r.components[d])
             if not lhs.equal(rhs):
-                gens = [i for i in range(lhs.source.ngens)
-                        if lhs.target.canonical(lhs.matrix[i])
-                        != rhs.target.canonical(rhs.matrix[i])]
-                return _fail(name, tower=s, level=d, generator=gens[0],
-                             lhs=lhs.matrix[gens[0]],
-                             rhs=rhs.matrix[gens[0]])
+                return _fail(name, tower=s, level=d,
+                             **_first_difference(lhs, rhs))
     return AxiomResult(name, "PASS")
 
 
@@ -483,13 +457,8 @@ def _axiom_res_tr_index(data):
                 lhs = mk.res_map(d, e).compose(mk.tr_map(e, d))
                 rhs = AbHom.scalar(mk.level(e), d // e)
                 if not lhs.equal(rhs):
-                    gens = [i for i in range(lhs.source.ngens)
-                            if lhs.target.canonical(lhs.matrix[i])
-                            != rhs.target.canonical(rhs.matrix[i])]
                     return _fail(name, tower=s, degree=q, pair=[e, d],
-                                 generator=gens[0],
-                                 lhs=lhs.matrix[gens[0]],
-                                 rhs=rhs.matrix[gens[0]])
+                                 **_first_difference(lhs, rhs))
     return AxiomResult(name, "PASS")
 
 
@@ -550,7 +519,7 @@ def _axiom_lift_rule(data):
                 y0 = data.lam[k - 1][lowtop].apply(lift_km1)
                 dy = data.differential(k - 1, 0, lowtop).apply(y0)
                 rhs = low.multiply(lowtop, 0,
-                                   low.power0(lowtop, y0, p - 1), 1, dy)
+                                   low.green0.power(lowtop, y0, p - 1), 1, dy)
                 if not low.level(1, lowtop).equal(lhs, rhs):
                     return _fail(name, tower=k, level=m, element=a,
                                  lhs=lhs, rhs=rhs)
@@ -602,16 +571,7 @@ class ClassicalWittData:
                 return target.zero()
             raise MalformedData(
                 "missing pairing at B_%d degrees (%d, %d)" % (s, q1, q2))
-        acc = [0] * target.ngens
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        c = xi * yj
-                        for t, v in enumerate(table[i][j]):
-                            if v:
-                                acc[t] += c * v
-        return tuple(acc)
+        return abgroups.bilinear(table, x, y, target.ngens)
 
 
 def _witt_op_hom(pres_from, pres_to, fn):
@@ -717,12 +677,8 @@ def _cl_FV(cdata):
             lhs = cdata.F[s + 1][q].compose(cdata.V[s][q])
             rhs = AbHom.scalar(cdata.level(s, q), cdata.p)
             if not lhs.equal(rhs):
-                gens = [i for i in range(lhs.source.ngens)
-                        if lhs.target.canonical(lhs.matrix[i])
-                        != rhs.target.canonical(rhs.matrix[i])]
-                return _fail(name, ring=s, degree=q, generator=gens[0],
-                             lhs=lhs.matrix[gens[0]],
-                             rhs=rhs.matrix[gens[0]])
+                return _fail(name, ring=s, degree=q,
+                             **_first_difference(lhs, rhs))
     return AxiomResult(name, "PASS")
 
 
@@ -834,7 +790,8 @@ def specialize_n1(data):
         d_maps[s + 1] = {q: data.differential(s, q, top)
                          for q in range(D + 1)}
         theta = data.classical_base.theta[s]
-        rows = [theta(g) for g in witt_pres[s + 1].gens]
+        quotient = data.witt_tower[s].q.components[top]
+        rows = [quotient.apply(theta(g)) for g in witt_pres[s + 1].gens]
         theta_hom = AbHom(witt_pres[s + 1].group,
                           data.witt_tower[s].green.level(top), rows,
                           check=True)

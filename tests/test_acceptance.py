@@ -71,7 +71,7 @@ def test_02_lift_values():
     with Timer(2, "lift values 0, 1, -1 in Z/9", 1.0):
         R = constant_tambara(F3, 2)
         W = equivariant_witt(R, 3, 1)
-        pres = R.payload["presentation"]
+        pres = R.norm_class.presentation
         lvl = W.level(3)
         assert lvl.is_zero(multiplicative_lift(W, pres.encode(0), 1))
         assert lvl.equal(multiplicative_lift(W, pres.encode(1), 1),
@@ -162,8 +162,8 @@ def test_06_n1_agreement_with_classical():
             for k in (1, 2):
                 W = equivariant_witt(R, 3, k)
                 wr_top = WittRing(3, k + 1, spec)
-                pres = W.norm.payload["presentations"]
-                rings = W.norm.payload["witt_rings"]
+                pres = W.norm.norm_class.presentations
+                rings = W.norm.norm_class.witt_rings
                 # top level is W_{k+1}(A) via the encoding bijection
                 canon = {W.level(3 ** k).canonical(pres[k].encode(x))
                          for x in wr_top.elements()}
@@ -185,7 +185,7 @@ def test_06_n1_agreement_with_classical():
                 if k >= 1:
                     r = restriction_r(W)
                     tgt = r.target_witt
-                    tpres = tgt.norm.payload["presentations"]
+                    tpres = tgt.norm.norm_class.presentations
                     for x in rings[k].elements():
                         got = r.components[3 ** (k - 1)].apply(
                             pres[k].encode(x))
@@ -193,7 +193,7 @@ def test_06_n1_agreement_with_classical():
                         assert tgt.level(3 ** (k - 1)).equal(got, want)
                 # r^k [a]_k = a, exhaustively
                 for a in spec.elements():
-                    vec = R.payload["presentation"].encode(a)
+                    vec = R.norm_class.presentation.encode(a)
                     ok, witness = check_r_lift_identity(W, vec)
                     assert ok, witness
 
@@ -208,7 +208,7 @@ def test_07_nerve_oracle():
         ]
         for base, p, k in battery:
             comparison = nerve_comparison(base, p, k)
-            assert all(comparison.values()), (base.kind, comparison)
+            assert all(comparison.values()), (base.norm_class.tag, comparison)
 
 
 def test_08_box_product_laws():

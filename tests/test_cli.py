@@ -166,6 +166,73 @@ class TestMackeyAndBox:
         assert data["levels"]["2"]["invariant_factors"] == [0, 0]
 
 
+def _mackey(**edits):
+    data = burnside(2).to_json()
+    data.update(edits)
+    return data
+
+
+def _family(**edits):
+    data = family_to_json(degree_zero_family(
+        constant_tambara(ModularRing(3), 2), 3, 1))
+    data.update(edits)
+    return data
+
+
+def _family_base_n(n):
+    data = _family()
+    data["base"]["N"] = n
+    return data
+
+
+MACKEY_SHOW = ["mackey", "show", "--file"]
+NORM_INPUT = ["norm", "--p", "3", "--k", "1", "--input"]
+EQWITT_INPUT = ["eqwitt", "--p", "3", "--k", "1", "--input"]
+CHECK_FILE = ["check", "witt-complex", "--file"]
+
+
+class TestMalformedFiles:
+    """A file of the wrong shape exits 1 with one JSON error line that
+    names it: no traceback, and no float silently truncated."""
+
+    @pytest.mark.parametrize("args, make", [
+        pytest.param(MACKEY_SHOW, lambda: [1, 2], id="mackey-list"),
+        pytest.param(NORM_INPUT, lambda: [1, 2], id="norm-list"),
+        pytest.param(EQWITT_INPUT, lambda: [1, 2], id="eqwitt-list"),
+        pytest.param(CHECK_FILE, lambda: [1, 2], id="check-list"),
+        pytest.param(MACKEY_SHOW, lambda: _mackey(levels=[1]),
+                     id="mackey-levels-list"),
+        pytest.param(MACKEY_SHOW, lambda: _mackey(res=None),
+                     id="mackey-res-null"),
+        pytest.param(MACKEY_SHOW, lambda: _mackey(N=2.5),
+                     id="mackey-float-N"),
+        pytest.param(CHECK_FILE, lambda: _family(E=[1]), id="family-E-list"),
+        pytest.param(CHECK_FILE, lambda: _family(**{"lambda": None}),
+                     id="family-lambda-null"),
+        pytest.param(CHECK_FILE, lambda: _family(r=[1]), id="family-r-list"),
+        pytest.param(CHECK_FILE, lambda: _family(p=3.5), id="family-float-p"),
+        pytest.param(CHECK_FILE, lambda: _family_base_n(2.0),
+                     id="family-float-base-N"),
+        pytest.param(NORM_INPUT,
+                     lambda: {"norm_class": "burnside", "N": 2.5},
+                     id="tambara-float-N"),
+        pytest.param(NORM_INPUT,
+                     lambda: {"norm_class": "burnside", "N": float("inf")},
+                     id="tambara-infinite-N"),
+    ])
+    def test_exit_1_with_json_error(self, capsys, tmp_path, args, make):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(make()))
+        code, out, err = run(capsys, args + [str(path)])
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        last = json.loads(err.strip().splitlines()[-1])
+        assert list(last) == ["error"]
+        assert last["error"].startswith("MalformedData: ")
+        assert str(path) in last["error"]
+
+
 class TestNorm:
     def test_burnside_input(self, capsys, tmp_path):
         path = tmp_path / "r.json"
@@ -269,6 +336,10 @@ class TestCheck:
         assert report["status"] == "FAIL"
         failing = [a for a in report["axioms"] if a["status"] == "FAIL"]
         assert failing[0]["axiom"] == "res tr = [L:H]"
+        # res tr of the first generator is 2 * 2, not the index 2
+        assert failing[0]["witness"] == {
+            "tower": 1, "degree": 0, "pair": [3, 6], "generator": 0,
+            "lhs": [4, 0], "rhs": [2, 0]}
 
     def test_round_trip_through_loader(self, tmp_path):
         data = degree_zero_family(constant_tambara(ModularRing(3), 2), 3, 1)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from wittlab.abgroups import AbHom, identity_matrix, is_isomorphism
+from wittlab.cli import family_to_json
 from wittlab.errors import LengthTooShort, NotApplicable
 from wittlab.eqwitt import (check_lift_power, check_r_lift_identity,
                             embed_base_element, equivariant_witt,
@@ -15,8 +16,10 @@ from wittlab.eqwitt import (check_lift_power, check_r_lift_identity,
                             restriction_r)
 from wittlab.mackey import MackeyMap, burnside_basis_vector, divisors
 from wittlab.rings import IntegerRing, ModularRing
-from wittlab.tambara import burnside_tambara, constant_tambara
+from wittlab.tambara import BURNSIDE, burnside_tambara, constant_tambara
 from wittlab.witt import WittRing
+from wittlab.wittcomplex import (check_classical, check_equivariant,
+                                 degree_zero_family, specialize_n1)
 
 
 def test_multiplicative_order():
@@ -90,7 +93,7 @@ class TestConstantWitt:
     def test_lift_values(self):
         r = constant_tambara(ModularRing(3), 2)
         w = equivariant_witt(r, 3, 1)
-        pres = r.payload["presentation"]
+        pres = r.norm_class.presentation
         lvl = w.level(3)
         zero = multiplicative_lift(w, pres.encode(0), 1)
         one = multiplicative_lift(w, pres.encode(1), 1)
@@ -112,7 +115,7 @@ class TestConstantWitt:
     def test_lift_power_exhaustive(self):
         r = constant_tambara(ModularRing(3), 2)
         w = equivariant_witt(r, 3, 1)
-        pres = r.payload["presentation"]
+        pres = r.norm_class.presentation
         for a in range(3):
             ok, witness = check_lift_power(w, pres.encode(a), 1)
             assert ok, witness
@@ -128,7 +131,7 @@ class TestClassicalComparison:
         spec = ModularRing(modulus)
         w = equivariant_witt(constant_tambara(spec, 1), 3, k)
         wr = WittRing(3, k + 1, spec)
-        pres = w.norm.payload["presentations"][k]
+        pres = w.norm.norm_class.presentations[k]
         assert w.level(3 ** k).order() == modulus ** (k + 1)
         # encode is an additive bijection
         seen = set()
@@ -157,8 +160,8 @@ class TestClassicalComparison:
         spec = ModularRing(modulus)
         k = 2
         w = equivariant_witt(constant_tambara(spec, 1), 3, k)
-        pres = w.norm.payload["presentations"]
-        rings = w.norm.payload["witt_rings"]
+        pres = w.norm.norm_class.presentations
+        rings = w.norm.norm_class.witt_rings
         for q in (1, 2):
             res = w.green.mackey.res[(3 ** q, 3 ** (q - 1))]
             tr = w.green.mackey.tr[(3 ** (q - 1), 3 ** q)]
@@ -176,10 +179,10 @@ class TestClassicalComparison:
         spec = ModularRing(modulus)
         w = equivariant_witt(constant_tambara(spec, 1), 3, 2)
         r = restriction_r(w)
-        pres2 = w.norm.payload["presentations"][2]
-        rings = w.norm.payload["witt_rings"]
+        pres2 = w.norm.norm_class.presentations[2]
+        rings = w.norm.norm_class.witt_rings
         target = r.target_witt
-        pres1 = target.norm.payload["presentations"][1]
+        pres1 = target.norm.norm_class.presentations[1]
         for x in rings[2].elements():
             got = r.components[3].apply(pres2.encode(x))
             want = pres1.encode(rings[2].restriction(x))
@@ -207,7 +210,7 @@ class TestClassicalComparison:
         w = equivariant_witt(r, 3, 2)
         for a in range(3):
             ok, witness = check_r_lift_identity(
-                w, r.payload["presentation"].encode(a))
+                w, r.norm_class.presentation.encode(a))
             assert ok, witness
 
     def test_r_lift_identity_needs_n1(self):
@@ -275,7 +278,7 @@ class TestNerveOracle:
         ]
         for base, p, k in cases:
             comparison = nerve_comparison(base, p, k)
-            assert all(comparison.values()), (base.kind, comparison)
+            assert all(comparison.values()), (base.norm_class.tag, comparison)
 
     def test_nerve_top_level_n1(self):
         nerve = hh0_via_nerve(constant_tambara(ModularRing(3), 1), 3, 1)
@@ -295,6 +298,63 @@ class TestEmbedding:
     def test_constant_embedding_translates(self):
         r = constant_tambara(ModularRing(3), 2)
         w = equivariant_witt(r, 3, 1)
-        v = embed_base_element(w, r.payload["presentation"].encode(2), 1)
+        v = embed_base_element(w, r.norm_class.presentation.encode(2), 1)
         lvl = w.norm.green.level(1)
         assert lvl.equal(v, lvl.scale(2, w.norm.green.one[1]))
+
+
+class Relabelled:
+    """A norm class defined outside the library: Burnside under a new
+    tag.  It gives exactly the interface the library calls."""
+
+    tag = "relabelled-burnside"
+    classical_ring = BURNSIDE.classical_ring
+
+    def norm(self, n, p, k):
+        out = BURNSIDE.norm(n, p, k)
+        out.norm_class = self
+        return out
+
+    def witt_rows(self, p, nu, d):
+        return BURNSIDE.witt_rows(p, nu, d)
+
+    def embed(self, a):
+        return BURNSIDE.embed(a)
+
+    def classical_theta(self, p, k):
+        return BURNSIDE.classical_theta(p, k)
+
+
+def relabelled_burnside(N):
+    R = burnside_tambara(N)
+    R.norm_class = Relabelled()
+    return R
+
+
+class TestPluginNormClass:
+    def test_equivariant_witt_r_and_lifts(self):
+        R, ref = relabelled_burnside(2), burnside_tambara(2)
+        w = equivariant_witt(R, 3, 2)
+        w_ref = equivariant_witt(ref, 3, 2)
+        assert isinstance(w.norm.norm_class, Relabelled)
+        for d in divisors(18):
+            assert w.level(d).invariant_factors == \
+                w_ref.level(d).invariant_factors
+        r, r_ref = restriction_r(w), restriction_r(w_ref)
+        for d, comp in r.components.items():
+            assert comp.matrix == r_ref.components[d].matrix
+        for m in (1, 2):
+            for a in ((2,), (-1,)) if m == 1 else ((1, 0), (0, 3), (2, -1)):
+                assert multiplicative_lift(w, a, m) == \
+                    multiplicative_lift(w_ref, a, m)
+
+    @pytest.mark.parametrize("N, S", [(2, 1), (1, 2)])
+    def test_witt_complex_family(self, N, S):
+        data = degree_zero_family(relabelled_burnside(N), 3, S)
+        # the Burnside levels are infinite, so locality is only warned of
+        with pytest.warns(UserWarning, match="cannot certify"):
+            assert check_equivariant(data).passed
+            if N == 1:
+                assert check_classical(specialize_n1(data)).passed
+        assert family_to_json(data)["base"] == {
+            "norm_class": "relabelled-burnside", "N": N}

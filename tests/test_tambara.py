@@ -16,14 +16,17 @@ import pytest
 import wittlab
 from wittlab.abgroups import AbHom, FgAbGroup
 from wittlab.errors import (ActionOrderInvalid, NotASubgroup, PrimeDividesN,
-                            TambaraAxiomFailure, UnsupportedInput)
+                            TambaraAxiomFailure, UnsupportedInput,
+                            WittlabError)
 from wittlab.mackey import box_product, divisors
-from wittlab.rings import IntegerRing, ModularRing, PolynomialRing
+from wittlab.rings import (IntegerRing, ModularRing, PolynomialRing,
+                           parse_ring)
 from wittlab.tambara import (ActionRing, GreenMap, burnside_from_marks,
                              burnside_tambara, burnside_to_marks,
                              constant_tambara, fixed_point_tambara,
                              green_from_json, norm_functor,
-                             present_witt_ring, zeta_green)
+                             present_witt_ring, tambara_from_json,
+                             zeta_green)
 from wittlab.witt import WittRing, witt_from_ghost_over_z
 
 
@@ -133,7 +136,7 @@ class TestBurnsideNorms:
 class TestFixedPointTambara:
     def test_constant_f3_norm_is_square(self):
         r = constant_tambara(ModularRing(3), 2)
-        pres = r.payload["presentation"]
+        pres = r.norm_class.presentation
         for a in range(3):
             got = r.internal_norm(pres.encode(a), 1, 2)
             assert r.green.level(2).equal(got, pres.encode((a * a) % 3))
@@ -184,7 +187,7 @@ class TestFixedPointTambara:
 class TestNormFunctor:
     def test_burnside_class(self):
         out = norm_functor(burnside_tambara(2), 3, 1)
-        assert out.kind == "burnside"
+        assert out.norm_class.tag == "burnside"
         assert out.group.N == 6
         ref = burnside_tambara(6)
         for d in divisors(6):
@@ -216,8 +219,8 @@ class TestNormFunctor:
 
     def test_constant_tower_maps_are_witt_operators(self):
         w = norm_functor(constant_tambara(ModularRing(3), 1), 3, 2)
-        pres = w.payload["presentations"]
-        rings = w.payload["witt_rings"]
+        pres = w.norm_class.presentations
+        rings = w.norm_class.witt_rings
         # res along p = Frobenius, tr = Verschiebung, exhaustively
         for q in (1, 2):
             res = w.mackey.res[(3 ** q, 3 ** (q - 1))]
@@ -464,3 +467,19 @@ class TestGreenJson:
         back.validate_green(rng)
         for d in divisors(6):
             assert back.mul[d] == g.mul[d]
+
+
+class TestTambaraJson:
+    @pytest.mark.parametrize("ring, N", [
+        ("burnside", 1), ("burnside", 2), ("burnside", 6),
+        ("Z", 1), ("Z", 2), ("F3", 1), ("F3", 2), ("Z/9", 1), ("Z/9", 2)])
+    def test_tag_round_trip(self, ring, N):
+        R = burnside_tambara(N) if ring == "burnside" else \
+            constant_tambara(parse_ring(ring), N)
+        data = R.to_json()
+        back = tambara_from_json({"norm_class": data["norm_class"], "N": N})
+        assert back.to_json() == data
+
+    def test_unknown_tag(self):
+        with pytest.raises(WittlabError, match="unsupported norm_class"):
+            tambara_from_json({"norm_class": "witt_tower", "N": 2})
