@@ -11,10 +11,12 @@ import argparse
 import json
 import random
 import sys
+import warnings
+from functools import partial
 
 from . import abgroups, eqwitt, mackey, tambara, wittcomplex
 from .errors import MalformedData, WittlabError
-from .mackey import MackeyFunctor, divisors
+from .mackey import MackeyFunctor, _json_int, divisors
 from .rings import parse_ring
 from .witt import WittRing
 
@@ -220,10 +222,6 @@ def _cmd_eqwitt(args):
 # witt-complex checking
 
 
-def _hom_json(hom):
-    return {"matrix": [list(r) for r in hom.matrix]}
-
-
 def family_to_json(data):
     """Serialize a degree-zero Witt complex family."""
     if data.D != 0:
@@ -237,78 +235,71 @@ def family_to_json(data):
         out["E"][str(s)] = {"degrees": {
             "0": data.towers[s].green0.to_json()}}
         out["lambda"][str(s)] = {
-            str(d): _hom_json(data.lam[s][d])
+            str(d): data.lam[s][d].to_json()
             for d in data.towers[s].group.divisors}
-    for s in sorted(data.r_maps):
+    for s in range(data.nu, data.S + 1):
         out["r"][str(s)] = {"0": {
-            str(d): _hom_json(h)
-            for d, h in sorted(data.r_maps[s][0].items())}}
+            str(d): data.restriction(s, 0, d).to_json()
+            for d in data.towers[s - data.nu].group.divisors}}
     for (s, smaller), per_degree in sorted(data.compat.items()):
-        key = "%d,%d" % (s, smaller)
-        out["compat"][key] = {"0": {
-            str(d): _hom_json(h)
-            for d, h in sorted(per_degree[0].items())}}
+        out["compat"]["%d,%d" % (s, smaller)] = {"0": {
+            str(d): h.to_json() for d, h in sorted(per_degree[0].items())}}
     for (s, q), maps in sorted(data.d_maps.items()):
-        entries = {str(d): _hom_json(h) for d, h in sorted(maps.items())
+        entries = {str(d): h.to_json() for d, h in sorted(maps.items())
                    if not h.is_zero_hom()}
         if entries:
             out["d"]["%d,%d" % (s, q)] = entries
     return out
 
 
+def _hom_table(table, keys, source, target):
+    """{d: AbHom from source(d) to target(d)} read from a
+    ``{"<d>": {"matrix": ...}}`` table at the given keys."""
+    homs = {}
+    for key in keys:
+        d = int(key)
+        homs[d] = abgroups.AbHom(source(d), target(d), table[key]["matrix"],
+                                 check=False)
+    return homs
+
+
 def witt_complex_from_json(obj):
     """Rebuild checker input from a file; the Witt towers themselves
     are reconstructed from the base tag."""
     base = tambara.tambara_from_json(obj["base"])
-    p = int(obj["p"])
-    S = int(obj["S"])
-    if int(obj.get("D", 0)) != 0:
+    p = _json_int(obj["p"], "p")
+    S = _json_int(obj["S"], "S")
+    if _json_int(obj.get("D", 0), "D") != 0:
         raise WittlabError("only degree-zero families load from JSON")
     if "E" not in obj:
         return wittcomplex.degree_zero_family(base, p, S)
     witt_tower = [eqwitt.equivariant_witt(base, p, s) for s in range(S + 1)]
-    towers = []
-    for s in range(S + 1):
-        green = tambara.green_from_json(obj["E"][str(s)]["degrees"]["0"])
-        towers.append(wittcomplex.GradedTower(green))
-    n = base.group.N
-    lam = {}
-    for s in range(S + 1):
-        lam[s] = {}
-        for d in towers[s].group.divisors:
-            mat = obj["lambda"][str(s)][str(d)]["matrix"]
-            lam[s][d] = abgroups.AbHom(witt_tower[s].green.level(d),
-                                       towers[s].level(0, d), mat,
-                                       check=False)
+    towers = [wittcomplex.GradedTower(tambara.green_from_json(
+        obj["E"][str(s)]["degrees"]["0"])) for s in range(S + 1)]
+    lam = {s: _hom_table(obj["lambda"][str(s)],
+                         [str(d) for d in towers[s].group.divisors],
+                         witt_tower[s].green.level,
+                         partial(towers[s].level, 0))
+           for s in range(S + 1)}
+    nu = eqwitt.multiplicative_order(p, base.group.N)
     r_maps = {}
-    nu = eqwitt.multiplicative_order(p, n)
-    for s_str, per_degree in obj.get("r", {}).items():
-        s = int(s_str)
-        comps = {}
-        for d_str, hom in per_degree["0"].items():
-            d = int(d_str)
-            comps[d] = abgroups.AbHom(
-                towers[s].level(0, d * p ** nu),
-                towers[s - nu].level(0, d), hom["matrix"], check=False)
-        r_maps[s] = {0: comps}
+    for key, per_degree in obj.get("r", {}).items():
+        s = int(key)
+        r_maps[s] = {0: _hom_table(
+            per_degree["0"], per_degree["0"],
+            lambda d: towers[s].level(0, d * p ** nu),
+            partial(towers[s - nu].level, 0))}
     compat = {}
     for key, per_degree in obj.get("compat", {}).items():
         s, smaller = (int(x) for x in key.split(","))
-        comps = {}
-        for d_str, hom in per_degree["0"].items():
-            d = int(d_str)
-            comps[d] = abgroups.AbHom(towers[s].level(0, d),
-                                      towers[smaller].level(0, d),
-                                      hom["matrix"], check=False)
-        compat[(s, smaller)] = {0: comps}
+        compat[(s, smaller)] = {0: _hom_table(
+            per_degree["0"], per_degree["0"], partial(towers[s].level, 0),
+            partial(towers[smaller].level, 0))}
     d_maps = {}
     for key, maps in obj.get("d", {}).items():
         s, q = (int(x) for x in key.split(","))
-        d_maps[(s, q)] = {
-            int(d): abgroups.AbHom(towers[s].level(q, int(d)),
-                                   towers[s].level(q + 1, int(d)),
-                                   hom["matrix"], check=False)
-            for d, hom in maps.items()}
+        d_maps[(s, q)] = _hom_table(maps, maps, partial(towers[s].level, q),
+                                    partial(towers[s].level, q + 1))
     return wittcomplex.WittComplexData(
         base, p, S, 0, towers, witt_tower, d_maps=d_maps, r_maps=r_maps,
         lam=lam, compat=compat,
@@ -397,14 +388,19 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    try:
-        return args.func(args)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
-    except (WittlabError, ValueError, KeyError) as exc:
-        print(json.dumps({"error": "%s: %s" % (type(exc).__name__, exc)}),
-              file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # a library warning becomes one JSON line, like an error
+        warnings.showwarning = lambda message, *_: print(
+            json.dumps({"warning": str(message)}), file=sys.stderr)
+        try:
+            return args.func(args)
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else 2
+        except (WittlabError, ValueError, KeyError) as exc:
+            print(json.dumps({"error": "%s: %s"
+                              % (type(exc).__name__, exc)}),
+                  file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -231,7 +231,7 @@ class MackeyFunctor:
 
     @classmethod
     def from_json(cls, data):
-        group = CyclicGroupSpec(int(data["N"]))
+        group = CyclicGroupSpec(_json_int(data["N"], "N"))
         levels = {d: FgAbGroup.from_json(data["levels"][str(d)])
                   for d in group.divisors}
         res = {}
@@ -300,6 +300,14 @@ def _require(ok, exc, message, *args):
     `exc` unless `ok`; the message is formatted only on failure."""
     if not ok:
         raise exc(message % args)
+
+
+def _json_int(value, name):
+    """An integer field of a JSON file: a JSON true or a numeric string
+    is a TypeError, not an int() coercion."""
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             TypeError, "%s must be an integer, got %r", name, value)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,9 @@ from .abgroups import AbHom, FgAbGroup, bilinear, unit_vector
 from .errors import (NotASubgroup, PrimeDividesN, TambaraAxiomFailure,
                      UnsupportedInput, WittlabError)
 from .mackey import (CyclicGroupSpec, MackeyFunctor, MackeyMap,
-                     _factor_through_inclusion, _fixed_point_mackey, _require,
-                     burnside, divisors, prime_steps, zeta)
+                     _factor_through_inclusion, _fixed_point_mackey,
+                     _json_int, _require, burnside, divisors, prime_steps,
+                     zeta)
 from .rings import IntegerRing, ModularRing, is_prime, parse_ring
 from .witt import WittRing, _ghost, _solve
 
@@ -717,7 +718,7 @@ def tambara_from_json(data):
     """The Tambara functor of a ``{"norm_class": tag, "N": N}`` object:
     tag ``burnside`` or ``constant:<ring>``."""
     tag = data.get("norm_class")
-    N = int(data["N"])
+    N = _json_int(data["N"], "N")
     if tag == BURNSIDE.tag:
         return burnside_tambara(N)
     if isinstance(tag, str) and tag.startswith("constant:"):

@@ -6,17 +6,23 @@ maps lambda from the equivariant Witt vectors, and compatibility
 witnesses, and verifies on all generators (plus every element of
 finite carriers for the non-additive lift rule):
 
+  * the compatibility witnesses are Green isomorphisms commuting with d,
   * d^2 = 0 and the Leibniz rule,
   * lambda r = r lambda  and  d r = r d,
   * res tr = [L:H]  and  res d tr = d  for all comparable subgroups,
   * F d lambda([x]_k) = lambda([x]_{k-1})^{p-1} d lambda([x]_{k-1}).
 
-Every failure carries a concrete witness that re-evaluates to the
-violated equation.  The n = 1 specialization extracts the top-orbit
+Both checkers share one implementation of d^2 = 0, Leibniz and the lift
+rule, over the graded ring of a tower level or of a classical B_s, and
+run every law that two homomorphisms agree through ``_law``.  Every
+failure carries a concrete witness that re-evaluates to the violated
+equation.  The n = 1 specialization extracts the top-orbit
 pro-differential graded ring and feeds the classical checker.
 """
 
 import warnings
+from collections import namedtuple
+from functools import partial
 
 from . import abgroups, mackey
 from .abgroups import AbHom, FgAbGroup, unit_vector
@@ -26,7 +32,8 @@ from .eqwitt import (equivariant_witt, multiplicative_lift,
                      multiplicative_order, restriction_r)
 from .mackey import MackeyFunctor, divisors
 from .rings import is_prime
-from .tambara import GreenFunctor, present_witt_ring, restrict_green
+from .tambara import (GreenFunctor, GreenMap, present_witt_ring,
+                      restrict_green)
 from .witt import WittRing
 
 TRIVIAL_GROUP = FgAbGroup(0)
@@ -44,19 +51,34 @@ def trivial_mackey(group):
     return MackeyFunctor(group, levels, res, tr, weyl)
 
 
+# The graded ring of a tower level or a classical B_s: by degree q, its
+# group level(q), product multiply(q1, x, q2, y) and d differential(q).
+_Graded = namedtuple("_Graded", "level multiply differential")
+
+
+def _pairing(table, target, x, y, missing, *args):
+    """x y by a structure-constant table into ``target``; without a
+    table only a product that is zero anyway is defined."""
+    if table is None:
+        if target.ngens == 0 or not (any(x) and any(y)):
+            return target.zero()
+        raise MalformedData(missing % args)
+    return abgroups.bilinear(table, x, y, target.ngens)
+
+
 class GradedTower:
     """One tower entry: graded levels over C_{p^s n}.
 
     Degree 0 is a Green functor; higher degrees are Mackey functors
-    with bilinear pairings against the other degrees.  Missing degrees
-    are trivial.
+    with bilinear pairings against the other degrees, the (0, 0) pairing
+    being the product of the Green functor.  Missing degrees are trivial.
     """
 
     def __init__(self, green0, higher=None, pairings=None):
         self.green0 = green0
         self.group = green0.mackey.group
         self.higher = dict(higher or {})
-        self.pairings = dict(pairings or {})
+        self.pairings = {**(pairings or {}), (0, 0): green0.mul}
         self._trivial = trivial_mackey(self.group)
 
     def degree(self, q):
@@ -69,16 +91,10 @@ class GradedTower:
 
     def multiply(self, d, q1, x, q2, y):
         """Graded product landing in degree q1 + q2 at level d."""
-        if q1 == 0 and q2 == 0:
-            return self.green0.multiply(d, x, y)
-        target = self.level(q1 + q2, d)
         table = self.pairings.get((q1, q2))
-        if table is None:
-            if target.ngens == 0 or not (any(x) and any(y)):
-                return target.zero()
-            raise MalformedData(
-                "missing pairing for degrees (%d, %d)" % (q1, q2))
-        return abgroups.bilinear(table[d], x, y, target.ngens)
+        return _pairing(None if table is None else table[d],
+                        self.level(q1 + q2, d), x, y,
+                        "missing pairing for degrees (%d, %d)", q1, q2)
 
 
 class ClassicalBridge:
@@ -98,7 +114,7 @@ class WittComplexData:
     maps the zeta-reindexed tower entry s to entry s - nu, ``lam[s]
     [div]`` is the Green map from the Witt vectors in degree zero, and
     ``compat[(s, k)][q][div]`` witnesses the subgroup compatibility.
-    Missing differentials and higher-degree maps default to zero.
+    Unsupplied differentials and restriction maps read as zero.
     """
 
     def __init__(self, base, p, S, D, towers, witt_tower, d_maps=None,
@@ -116,32 +132,26 @@ class WittComplexData:
         self.lam = dict(lam or {})
         self.compat = dict(compat or {})
         self.classical_base = classical_base
-        self._fill_defaults()
-
-    def _fill_defaults(self):
-        for s in range(self.S + 1):
-            tower = self.towers[s]
-            for q in range(self.D + 1):
-                key = (s, q)
-                maps = self.d_maps.setdefault(key, {})
-                for d in tower.group.divisors:
-                    if d not in maps:
-                        maps[d] = AbHom.zero(tower.level(q, d),
-                                             tower.level(q + 1, d))
-        for s in range(self.nu, self.S + 1):
-            per_degree = self.r_maps.setdefault(s, {})
-            low = self.towers[s - self.nu]
-            high = self.towers[s]
-            pnu = self.p ** self.nu
-            for q in range(self.D + 1):
-                maps = per_degree.setdefault(q, {})
-                for d in low.group.divisors:
-                    if d not in maps:
-                        maps[d] = AbHom.zero(high.level(q, d * pnu),
-                                             low.level(q, d))
 
     def differential(self, s, q, d):
-        return self.d_maps[(s, q)][d]
+        """d of tower entry s from degree q to q + 1 at level d."""
+        hom = self.d_maps.get((s, q), {}).get(d)
+        return hom if hom is not None else AbHom.zero(
+            self.towers[s].level(q, d), self.towers[s].level(q + 1, d))
+
+    def restriction(self, s, q, d):
+        """r from entry s, level d p^nu, to entry s - nu, level d."""
+        hom = self.r_maps.get(s, {}).get(q, {}).get(d)
+        return hom if hom is not None else AbHom.zero(
+            self.towers[s].level(q, d * self.p ** self.nu),
+            self.towers[s - self.nu].level(q, d))
+
+    def _graded(self, s, d):
+        """The graded ring of tower entry s at level d."""
+        tower = self.towers[s]
+        return _Graded(lambda q: tower.level(q, d),
+                       partial(tower.multiply, d),
+                       lambda q: self.differential(s, q, d))
 
 
 class AxiomResult:
@@ -231,9 +241,17 @@ def classical_bridge(R, witt_tower):
 # violation injectors (for tests and demos)
 
 
+def _copy(data, **fields):
+    """A shallow copy of data with some fields replaced."""
+    import copy  # here: only the injectors need it, every process imports us
+    out = copy.copy(data)
+    out.__dict__.update(fields)
+    return out
+
+
 def with_scaled_transfer(data, s, pair, factor):
     """Copy of the data with one transfer of tower s scaled; breaks the
-    res tr = [L:H] axiom."""
+    res tr = [L:H] axiom.  The copy shares every other map with data."""
     tower = data.towers[s]
     mk = tower.green0.mackey
     tr = dict(mk.tr)
@@ -242,29 +260,25 @@ def with_scaled_transfer(data, s, pair, factor):
     bad_green = GreenFunctor(bad_mk, tower.green0.mul, tower.green0.one)
     towers = list(data.towers)
     towers[s] = GradedTower(bad_green, tower.higher, tower.pairings)
-    return WittComplexData(data.base, data.p, data.S, data.D, towers,
-                           data.witt_tower, data.d_maps, data.r_maps,
-                           data.lam, data.compat, data.classical_base)
+    return _copy(data, towers=towers)
 
 
 def with_identity_differential(data, s):
     """Copy with degree 1 = degree 0 and d = identity; breaks Leibniz
-    (d(xy) = xy but x dy + dx y = 2xy)."""
-    towers = list(data.towers)
-    tower = towers[s]
+    (d(xy) = xy but x dy + dx y = 2xy).  The copy shares every other map
+    with data."""
+    tower = data.towers[s]
     green0 = tower.green0
     higher = dict(tower.higher)
     higher[1] = green0.mackey
     pairings = dict(tower.pairings)
-    pairings[(0, 1)] = {d: green0.mul[d] for d in tower.group.divisors}
-    pairings[(1, 0)] = {d: green0.mul[d] for d in tower.group.divisors}
+    pairings[(0, 1)] = pairings[(1, 0)] = green0.mul
+    towers = list(data.towers)
     towers[s] = GradedTower(green0, higher, pairings)
-    d_maps = {key: dict(val) for key, val in data.d_maps.items()}
+    d_maps = dict(data.d_maps)
     d_maps[(s, 0)] = {d: AbHom.identity(green0.level(d))
                       for d in tower.group.divisors}
-    return WittComplexData(data.base, data.p, data.S, max(data.D, 1),
-                           towers, data.witt_tower, d_maps, data.r_maps,
-                           data.lam, data.compat, data.classical_base)
+    return _copy(data, D=max(data.D, 1), towers=towers, d_maps=d_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +309,85 @@ def _assert_p_local(levels, p, what):
 
 
 # ---------------------------------------------------------------------------
+# laws shared by both checkers
+
+
+def _fail(name, **witness):
+    witness = {k: (list(v) if isinstance(v, tuple) else v)
+               for k, v in witness.items()}
+    return AxiomResult(name, "FAIL", witness)
+
+
+def _first_difference(lhs, rhs):
+    """Witness fields for the first generator on which two homs differ;
+    empty when their shapes differ."""
+    if lhs.source.ngens == rhs.source.ngens:
+        for i, (a, b) in enumerate(zip(lhs.matrix, rhs.matrix)):
+            if lhs.target.canonical(a) != rhs.target.canonical(b):
+                return {"generator": i, "lhs": a, "rhs": b}
+    return {}
+
+
+def _law(name, cases):
+    """PASS when lhs equals rhs in every (where, lhs, rhs) of cases;
+    else FAIL at the first case that differs, witnessed by where and
+    the first differing generator."""
+    for where, lhs, rhs in cases:
+        if not lhs.equal(rhs):
+            return _fail(name, **where, **_first_difference(lhs, rhs))
+    return AxiomResult(name, "PASS")
+
+
+def _d_squared(rings, D):
+    """d^2 = 0 below degree D of each (where, graded ring)."""
+    return _law("d^2 = 0", (
+        (dict(where, degree=q),
+         R.differential(q + 1).compose(R.differential(q)),
+         AbHom.zero(R.level(q), R.level(q + 2)))
+        for where, R in rings for q in range(D)))
+
+
+def _leibniz(rings):
+    """d(xy) = d(x) y + x d(y) on degree-0 generators."""
+    name = "Leibniz rule"
+    for where, R in rings:
+        level, target, dd = R.level(0), R.level(1), R.differential(0)
+        for i in range(level.ngens):
+            x = unit_vector(level.ngens, i)
+            dx = dd.apply(x)
+            for j in range(level.ngens):
+                y = unit_vector(level.ngens, j)
+                lhs = dd.apply(R.multiply(0, x, 0, y))
+                rhs = target.add(R.multiply(1, dx, 0, y),
+                                 R.multiply(0, x, 1, dd.apply(y)))
+                if not target.equal(lhs, rhs):
+                    return _fail(name, **where, x=x, y=y, lhs=lhs, rhs=rhs)
+    return AxiomResult(name, "PASS")
+
+
+def _lift_law(cases, p, missing):
+    """F d lambda([a]_k) = lambda([a]_{k-1})^{p-1} d lambda([a]_{k-1})
+    over cases (where, R, f, v, y): y = lambda([a]_{k-1}) in the graded
+    ring R, v is d lambda([a]_k) restricted to R's level and f the
+    degree-1 map onto R; without f only v = 0 passes."""
+    name = "F d lambda lift rule"
+    for where, R, f, v, y in cases:
+        if f is not None:
+            lhs = f.apply(v)
+        elif not any(v):
+            lhs = R.level(1).zero()
+        else:
+            return _fail(name, **where, reason=missing)
+        power = y
+        for _ in range(p - 2):
+            power = R.multiply(0, power, 0, y)
+        rhs = R.multiply(0, power, 1, R.differential(0).apply(y))
+        if not R.level(1).equal(lhs, rhs):
+            return _fail(name, **where, lhs=lhs, rhs=rhs)
+    return AxiomResult(name, "PASS")
+
+
+# ---------------------------------------------------------------------------
 # the equivariant checker
 
 
@@ -312,35 +405,25 @@ def check_equivariant(data):
     _assert_p_local([(m, data.base.green.level(m))
                      for m in divisors(n)], p, "base level")
 
-    results = []
-    results.append(_axiom_compat(data))
-    results.append(_axiom_d_squared(data))
-    results.append(_axiom_leibniz(data))
-    results.append(_axiom_lambda_r(data))
-    results.append(_axiom_d_r(data))
-    results.append(_axiom_res_tr_index(data))
-    results.append(_axiom_res_d_tr(data))
-    results.append(_axiom_lift_rule(data))
-    return AxiomReport(results)
-
-
-def _fail(name, **witness):
-    witness = {k: (list(v) if isinstance(v, tuple) else v)
-               for k, v in witness.items()}
-    return AxiomResult(name, "FAIL", witness)
-
-
-def _first_difference(lhs, rhs):
-    """Witness fields for the first generator on which two homs
-    differ."""
-    for i, (a, b) in enumerate(zip(lhs.matrix, rhs.matrix)):
-        if lhs.target.canonical(a) != rhs.target.canonical(b):
-            return {"generator": i, "lhs": a, "rhs": b}
+    rings = [({"tower": s, "level": d}, data._graded(s, d))
+             for s, tower in enumerate(data.towers)
+             for d in tower.group.divisors]
+    return AxiomReport([
+        _axiom_compat(data),
+        _d_squared(rings, data.D),
+        _leibniz(rings),
+        _axiom_lambda_r(data),
+        _axiom_d_r(data),
+        _axiom_res_tr_index(data),
+        _axiom_res_d_tr(data),
+        _axiom_lift_rule(data),
+    ])
 
 
 def _axiom_compat(data):
     name = "compatibility isomorphisms"
-    for (s, smaller), per_degree in sorted(data.compat.items()):
+    pairs = sorted(data.compat.items())
+    for (s, smaller), per_degree in pairs:
         restricted = restrict_green(data.towers[s].green0,
                                     data.p ** smaller * data.n)
         target = data.towers[smaller].green0
@@ -354,128 +437,69 @@ def _axiom_compat(data):
                 return _fail(name, towers=[s, smaller], level=d,
                              reason="witness is not an isomorphism")
         try:
-            from .tambara import GreenMap
             GreenMap(restricted, target, comps)
         except (MackeyAxiomFailure, TambaraAxiomFailure, ValueError) as exc:
             return _fail(name, towers=[s, smaller], reason=str(exc))
-        # d-compatibility: compat . d == d . compat in supplied degrees
-        for d in restricted.mackey.group.divisors:
-            f0 = comps[d]
-            f1 = per_degree.get(1, {}).get(d)
-            dd_big = data.differential(s, 0, d)
-            dd_small = data.differential(smaller, 0, d)
-            if f1 is None:
-                if not dd_small.compose(f0).is_zero_hom():
-                    return _fail(name, towers=[s, smaller], level=d,
-                                 reason="differential not preserved")
-            else:
-                if not dd_small.compose(f0).equal(f1.compose(dd_big)):
-                    return _fail(name, towers=[s, smaller], level=d,
-                                 reason="differential not preserved")
-    return AxiomResult(name, "PASS")
-
-
-def _axiom_d_squared(data):
-    name = "d^2 = 0"
-    for s in range(data.S + 1):
-        tower = data.towers[s]
-        for q in range(data.D):
-            for d in tower.group.divisors:
-                comp = data.differential(s, q + 1, d).compose(
-                    data.differential(s, q, d))
-                if not comp.is_zero_hom():
-                    gens = [i for i in range(comp.source.ngens)
-                            if not comp.target.is_zero(comp.matrix[i])]
-                    return _fail(name, tower=s, degree=q, level=d,
-                                 generator=gens[0])
-    return AxiomResult(name, "PASS")
-
-
-def _axiom_leibniz(data):
-    name = "Leibniz rule"
-    for s in range(data.S + 1):
-        tower = data.towers[s]
-        for d in tower.group.divisors:
-            level = tower.level(0, d)
-            dd = data.differential(s, 0, d)
-            for i in range(level.ngens):
-                x = unit_vector(level.ngens, i)
-                for j in range(level.ngens):
-                    y = unit_vector(level.ngens, j)
-                    lhs = dd.apply(tower.multiply(d, 0, x, 0, y))
-                    rhs = tower.level(1, d).add(
-                        tower.multiply(d, 1, dd.apply(x), 0, y),
-                        tower.multiply(d, 0, x, 1, dd.apply(y)))
-                    if not tower.level(1, d).equal(lhs, rhs):
-                        return _fail(name, tower=s, level=d, x=x, y=y,
-                                     lhs=lhs, rhs=rhs)
-    return AxiomResult(name, "PASS")
+    # d-compatibility: compat . d == d . compat, a missing degree-1
+    # witness reading as zero
+    return _law(name, (
+        ({"towers": [s, smaller], "level": d,
+          "reason": "differential not preserved"},
+         data.differential(smaller, 0, d).compose(per_degree[0][d]),
+         per_degree.get(1, {}).get(d, AbHom.zero(
+             data.towers[s].level(1, d), data.towers[smaller].level(1, d)))
+         .compose(data.differential(s, 0, d)))
+        for (s, smaller), per_degree in pairs
+        for d in divisors(data.p ** smaller * data.n)))
 
 
 def _axiom_lambda_r(data):
-    name = "lambda r = r lambda"
     pnu = data.p ** data.nu
-    for s in range(data.nu, data.S + 1):
-        witt_r = restriction_r(data.witt_tower[s])
-        for d in data.towers[s - data.nu].group.divisors:
-            lhs = data.r_maps[s][0][d].compose(data.lam[s][d * pnu])
-            rhs = data.lam[s - data.nu][d].compose(witt_r.components[d])
-            if not lhs.equal(rhs):
-                return _fail(name, tower=s, level=d,
-                             **_first_difference(lhs, rhs))
-    return AxiomResult(name, "PASS")
+
+    def cases():
+        for s in range(data.nu, data.S + 1):
+            witt_r = restriction_r(data.witt_tower[s]).components
+            for d in data.towers[s - data.nu].group.divisors:
+                yield ({"tower": s, "level": d},
+                       data.restriction(s, 0, d).compose(
+                           data.lam[s][d * pnu]),
+                       data.lam[s - data.nu][d].compose(witt_r[d]))
+    return _law("lambda r = r lambda", cases())
 
 
 def _axiom_d_r(data):
-    name = "d r = r d"
     pnu = data.p ** data.nu
-    for s in range(data.nu, data.S + 1):
-        for q in range(data.D + 1):
-            rq = data.r_maps[s].get(q)
-            rq1 = data.r_maps[s].get(q + 1)
-            if rq is None:
-                continue
-            for d in data.towers[s - data.nu].group.divisors:
-                lhs = data.differential(s - data.nu, q, d).compose(rq[d])
-                dd = data.differential(s, q, d * pnu)
-                if rq1 is not None and d in rq1:
-                    rhs = rq1[d].compose(dd)
-                else:
-                    rhs = AbHom.zero(lhs.source, lhs.target)
-                if not lhs.equal(rhs):
-                    return _fail(name, tower=s, degree=q, level=d)
-    return AxiomResult(name, "PASS")
+    return _law("d r = r d", (
+        ({"tower": s, "degree": q, "level": d},
+         data.differential(s - data.nu, q, d).compose(
+             data.restriction(s, q, d)),
+         data.restriction(s, q + 1, d).compose(
+             data.differential(s, q, d * pnu)))
+        for s in range(data.nu, data.S + 1)
+        for q in range(data.D + 1)
+        for d in data.towers[s - data.nu].group.divisors))
 
 
 def _axiom_res_tr_index(data):
-    name = "res tr = [L:H]"
-    for s in range(data.S + 1):
-        tower = data.towers[s]
-        for q in range(data.D + 1):
-            mk = tower.degree(q)
-            for (e, d) in tower.group.comparable_pairs():
-                lhs = mk.res_map(d, e).compose(mk.tr_map(e, d))
-                rhs = AbHom.scalar(mk.level(e), d // e)
-                if not lhs.equal(rhs):
-                    return _fail(name, tower=s, degree=q, pair=[e, d],
-                                 **_first_difference(lhs, rhs))
-    return AxiomResult(name, "PASS")
+    return _law("res tr = [L:H]", (
+        ({"tower": s, "degree": q, "pair": [e, d]},
+         tower.degree(q).res_map(d, e).compose(tower.degree(q).tr_map(e, d)),
+         AbHom.scalar(tower.level(q, e), d // e))
+        for s, tower in enumerate(data.towers)
+        for q in range(data.D + 1)
+        for (e, d) in tower.group.comparable_pairs()))
 
 
 def _axiom_res_d_tr(data):
-    name = "res d tr = d"
-    for s in range(data.S + 1):
-        tower = data.towers[s]
-        for q in range(data.D + 1):
-            mk_q = tower.degree(q)
-            mk_q1 = tower.degree(q + 1)
-            for (e, d) in tower.group.comparable_pairs():
-                lhs = mk_q1.res_map(d, e).compose(
-                    data.differential(s, q, d)).compose(mk_q.tr_map(e, d))
-                rhs = data.differential(s, q, e)
-                if not lhs.equal(rhs):
-                    return _fail(name, tower=s, degree=q, pair=[e, d])
-    return AxiomResult(name, "PASS")
+    return _law("res d tr = d", (
+        ({"tower": s, "degree": q, "pair": [e, d]},
+         tower.degree(q + 1).res_map(d, e).compose(
+             data.differential(s, q, d)).compose(
+             tower.degree(q).tr_map(e, d)),
+         data.differential(s, q, e))
+        for s, tower in enumerate(data.towers)
+        for q in range(data.D + 1)
+        for (e, d) in tower.group.comparable_pairs()))
 
 
 def _sample_base_elements(R, m):
@@ -492,38 +516,25 @@ def _sample_base_elements(R, m):
 
 
 def _axiom_lift_rule(data):
-    name = "F d lambda lift rule"
-    p, n = data.p, data.n
-    for k in range(1, data.S + 1):
-        high = data.towers[k]
-        low = data.towers[k - 1]
-        compat = data.compat.get((k, k - 1), {})
-        for m in divisors(n):
-            top = p ** k * m
-            lowtop = p ** (k - 1) * m
-            for a in _sample_base_elements(data.base, m):
-                lift_k = multiplicative_lift(data.witt_tower[k], a, m)
-                x0 = data.lam[k][top].apply(lift_k)
-                dx = data.differential(k, 0, top).apply(x0)
-                fdx = high.degree(1).res_map(top, lowtop).apply(dx)
-                c1 = compat.get(1, {}).get(lowtop)
-                if c1 is not None:
-                    lhs = c1.apply(fdx)
-                elif not any(fdx):
-                    lhs = low.level(1, lowtop).zero()
-                else:
-                    return _fail(name, tower=k, level=m, element=a,
-                                 reason="no degree-1 compatibility witness"
-                                 " for a nonzero left side")
-                lift_km1 = multiplicative_lift(data.witt_tower[k - 1], a, m)
-                y0 = data.lam[k - 1][lowtop].apply(lift_km1)
-                dy = data.differential(k - 1, 0, lowtop).apply(y0)
-                rhs = low.multiply(lowtop, 0,
-                                   low.green0.power(lowtop, y0, p - 1), 1, dy)
-                if not low.level(1, lowtop).equal(lhs, rhs):
-                    return _fail(name, tower=k, level=m, element=a,
-                                 lhs=lhs, rhs=rhs)
-    return AxiomResult(name, "PASS")
+    p = data.p
+
+    def cases():
+        for k in range(1, data.S + 1):
+            compat = data.compat.get((k, k - 1), {}).get(1, {})
+            for m in divisors(data.n):
+                top, lowtop = p ** k * m, p ** (k - 1) * m
+                low = data._graded(k - 1, lowtop)
+                fd = data.towers[k].degree(1).res_map(top, lowtop).compose(
+                    data.differential(k, 0, top))
+                for a in _sample_base_elements(data.base, m):
+                    x = multiplicative_lift(data.witt_tower[k], a, m)
+                    y = multiplicative_lift(data.witt_tower[k - 1], a, m)
+                    yield ({"tower": k, "level": m, "element": a}, low,
+                           compat.get(lowtop),
+                           fd.apply(data.lam[k][top].apply(x)),
+                           data.lam[k - 1][lowtop].apply(y))
+    return _lift_law(cases(), p, "no degree-1 compatibility witness for a "
+                     "nonzero left side")
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +575,15 @@ class ClassicalWittData:
         return AbHom.zero(self.level(s, q), self.level(s, q + 1))
 
     def multiply(self, s, q1, x, q2, y):
-        target = self.level(s, q1 + q2)
-        table = self.pairings.get(s, {}).get((q1, q2))
-        if table is None:
-            if target.ngens == 0 or not (any(x) and any(y)):
-                return target.zero()
-            raise MalformedData(
-                "missing pairing at B_%d degrees (%d, %d)" % (s, q1, q2))
-        return abgroups.bilinear(table, x, y, target.ngens)
+        return _pairing(self.pairings.get(s, {}).get((q1, q2)),
+                        self.level(s, q1 + q2), x, y,
+                        "missing pairing at B_%d degrees (%d, %d)",
+                        s, q1, q2)
 
-
-def _witt_op_hom(pres_from, pres_to, fn):
-    rows = [pres_to.encode(fn(g)) for g in pres_from.gens]
-    return AbHom(pres_from.group, pres_to.group, rows, check=True)
+    def _graded(self, s):
+        """The graded ring B_s."""
+        return _Graded(partial(self.level, s), partial(self.multiply, s),
+                       partial(self.differential, s))
 
 
 def check_classical(cdata):
@@ -589,116 +596,61 @@ def check_classical(cdata):
     A_pres = cdata.witt_pres[1]
     _assert_p_local([("A", A_pres.group)], p, "base ring")
 
-    results = []
-    results.append(_cl_d_squared(cdata))
-    results.append(_cl_leibniz(cdata))
-    results.append(_cl_lambda_strict(cdata))
-    results.append(_cl_lambda_F(cdata))
-    results.append(_cl_lambda_V(cdata))
-    results.append(_cl_FV(cdata))
-    results.append(_cl_FdV(cdata))
-    results.append(_cl_module(cdata))
-    results.append(_cl_lift_rule(cdata))
-    return AxiomReport(results)
+    rings = [({"ring": s}, cdata._graded(s)) for s in range(1, cdata.S + 2)]
+    return AxiomReport([
+        _d_squared(rings, cdata.D),
+        _leibniz(rings),
+        _cl_lambda(cdata, "lambda is a strict pro-map", cdata.restr, -1,
+                   "restriction"),
+        _cl_lambda(cdata, "lambda F = F lambda", cdata.F, -1, "frobenius"),
+        _cl_lambda(cdata, "lambda V = V lambda", cdata.V, 1, "verschiebung"),
+        _cl_FV(cdata),
+        _cl_FdV(cdata),
+        _cl_module(cdata),
+        _cl_lift_rule(cdata),
+    ])
 
 
-def _cl_d_squared(cdata):
-    name = "d^2 = 0"
-    for s in range(1, cdata.S + 2):
-        for q in range(cdata.D):
-            comp = cdata.differential(s, q + 1).compose(
-                cdata.differential(s, q))
-            if not comp.is_zero_hom():
-                return _fail(name, ring=s, degree=q)
-    return AxiomResult(name, "PASS")
-
-
-def _cl_leibniz(cdata):
-    name = "Leibniz rule"
-    for s in range(1, cdata.S + 2):
-        level = cdata.level(s, 0)
-        dd = cdata.differential(s, 0)
-        for i in range(level.ngens):
-            x = unit_vector(level.ngens, i)
-            for j in range(level.ngens):
-                y = unit_vector(level.ngens, j)
-                lhs = dd.apply(cdata.multiply(s, 0, x, 0, y))
-                rhs = cdata.level(s, 1).add(
-                    cdata.multiply(s, 1, dd.apply(x), 0, y),
-                    cdata.multiply(s, 0, x, 1, dd.apply(y)))
-                if not cdata.level(s, 1).equal(lhs, rhs):
-                    return _fail(name, ring=s, x=x, y=y, lhs=lhs, rhs=rhs)
-    return AxiomResult(name, "PASS")
-
-
-def _cl_lambda_strict(cdata):
-    name = "lambda is a strict pro-map"
-    for s in range(2, cdata.S + 2):
-        wr = WittRing(cdata.p, s, cdata.ring_spec)
-        r_w = _witt_op_hom(cdata.witt_pres[s], cdata.witt_pres[s - 1],
-                           wr.restriction)
-        lhs = cdata.restr[s][0].compose(cdata.lam[s])
-        rhs = cdata.lam[s - 1].compose(r_w)
-        if not lhs.equal(rhs):
-            return _fail(name, ring=s)
-    return AxiomResult(name, "PASS")
-
-
-def _cl_lambda_F(cdata):
-    name = "lambda F = F lambda"
-    for s in range(2, cdata.S + 2):
-        wr = WittRing(cdata.p, s, cdata.ring_spec)
-        f_w = _witt_op_hom(cdata.witt_pres[s], cdata.witt_pres[s - 1],
-                           wr.frobenius)
-        lhs = cdata.F[s][0].compose(cdata.lam[s])
-        rhs = cdata.lam[s - 1].compose(f_w)
-        if not lhs.equal(rhs):
-            return _fail(name, ring=s)
-    return AxiomResult(name, "PASS")
-
-
-def _cl_lambda_V(cdata):
-    name = "lambda V = V lambda"
-    for s in range(1, cdata.S + 1):
-        longer = WittRing(cdata.p, s + 1, cdata.ring_spec)
-        v_w = _witt_op_hom(cdata.witt_pres[s], cdata.witt_pres[s + 1],
-                           longer.verschiebung)
-        lhs = cdata.V[s][0].compose(cdata.lam[s])
-        rhs = cdata.lam[s + 1].compose(v_w)
-        if not lhs.equal(rhs):
-            return _fail(name, ring=s)
-    return AxiomResult(name, "PASS")
+def _cl_lambda(cdata, name, maps, step, op):
+    """maps[s][0] lambda_s = lambda_{s+step} op, where op is the named
+    Witt operator from W_s(A) to W_{s+step}(A)."""
+    def cases():
+        for s in range(1, cdata.S + 2):
+            if not 1 <= s + step <= cdata.S + 1:
+                continue
+            witt_op = getattr(WittRing(cdata.p, max(s, s + step),
+                                       cdata.ring_spec), op)
+            here, there = cdata.witt_pres[s], cdata.witt_pres[s + step]
+            op_hom = AbHom(here.group, there.group,
+                           [there.encode(witt_op(g)) for g in here.gens])
+            yield ({"ring": s}, maps[s][0].compose(cdata.lam[s]),
+                   cdata.lam[s + step].compose(op_hom))
+    return _law(name, cases())
 
 
 def _cl_FV(cdata):
-    name = "F V = p"
-    for s in range(1, cdata.S + 1):
-        for q in range(cdata.D + 1):
-            lhs = cdata.F[s + 1][q].compose(cdata.V[s][q])
-            rhs = AbHom.scalar(cdata.level(s, q), cdata.p)
-            if not lhs.equal(rhs):
-                return _fail(name, ring=s, degree=q,
-                             **_first_difference(lhs, rhs))
-    return AxiomResult(name, "PASS")
+    return _law("F V = p", (
+        ({"ring": s, "degree": q},
+         cdata.F[s + 1][q].compose(cdata.V[s][q]),
+         AbHom.scalar(cdata.level(s, q), cdata.p))
+        for s in range(1, cdata.S + 1) for q in range(cdata.D + 1)))
 
 
 def _cl_FdV(cdata):
-    name = "F d V = d"
-    for s in range(1, cdata.S + 1):
-        for q in range(cdata.D + 1):
-            lhs = cdata.F[s + 1][q + 1].compose(
-                cdata.differential(s + 1, q)).compose(cdata.V[s][q]) \
-                if (q + 1) in cdata.F[s + 1] else None
-            if lhs is None:
-                lhs = AbHom.zero(cdata.level(s, q), cdata.level(s, q + 1))
-                mid = cdata.differential(s + 1, q).compose(cdata.V[s][q])
-                if not mid.is_zero_hom():
-                    return _fail(name, ring=s, degree=q,
-                                 reason="no degree-%d F supplied" % (q + 1))
-            rhs = cdata.differential(s, q)
-            if not lhs.equal(rhs):
-                return _fail(name, ring=s, degree=q)
-    return AxiomResult(name, "PASS")
+    def cases():
+        for s in range(1, cdata.S + 1):
+            for q in range(cdata.D + 1):
+                where = {"ring": s, "degree": q}
+                dv = cdata.differential(s + 1, q).compose(cdata.V[s][q])
+                f = cdata.F[s + 1].get(q + 1)
+                if f is None:
+                    # without a degree-(q+1) F the law needs d V = 0
+                    yield (dict(where, reason="no degree-%d F supplied"
+                                % (q + 1)),
+                           dv, AbHom.zero(dv.source, dv.target))
+                    f = AbHom.zero(dv.target, cdata.level(s, q + 1))
+                yield where, f.compose(dv), cdata.differential(s, q)
+    return _law("F d V = d", cases())
 
 
 def _cl_module(cdata):
@@ -727,35 +679,19 @@ def _cl_base_elements(cdata):
 
 
 def _cl_lift_rule(cdata):
-    name = "F d lambda lift rule"
-    p = cdata.p
-    for k in range(1, cdata.S + 1):
-        wr_high = WittRing(p, k + 1, cdata.ring_spec)
-        wr_low = WittRing(p, k, cdata.ring_spec)
-        for a in _cl_base_elements(cdata):
-            x0 = cdata.lam[k + 1].apply(
-                cdata.witt_pres[k + 1].encode(wr_high.teichmuller(a)))
-            dx = cdata.differential(k + 1, 0).apply(x0)
-            fq = cdata.F[k + 1].get(1)
-            if fq is None:
-                if any(dx):
-                    return _fail(name, ring=k, element=repr(a),
-                                 reason="no degree-1 F supplied")
-                lhs = cdata.level(k, 1).zero()
-            else:
-                lhs = fq.apply(dx)
-            y0 = cdata.lam[k].apply(
-                cdata.witt_pres[k].encode(wr_low.teichmuller(a)))
-            dy = cdata.differential(k, 0).apply(y0)
-            power = None  # y0^(p-1)
-            for _ in range(p - 1):
-                power = y0 if power is None else cdata.multiply(
-                    k, 0, power, 0, y0)
-            rhs = cdata.multiply(k, 0, power, 1, dy)
-            if not cdata.level(k, 1).equal(lhs, rhs):
-                return _fail(name, ring=k, element=repr(a), lhs=lhs,
-                             rhs=rhs)
-    return AxiomResult(name, "PASS")
+    def cases():
+        for k in range(1, cdata.S + 1):
+            high, low = (WittRing(cdata.p, j, cdata.ring_spec)
+                         for j in (k + 1, k))
+            ring, d_high = cdata._graded(k), cdata.differential(k + 1, 0)
+            for a in _cl_base_elements(cdata):
+                x = cdata.witt_pres[k + 1].encode(high.teichmuller(a))
+                y = cdata.witt_pres[k].encode(low.teichmuller(a))
+                yield ({"ring": k, "element": repr(a)}, ring,
+                       cdata.F[k + 1].get(1),
+                       d_high.apply(cdata.lam[k + 1].apply(x)),
+                       cdata.lam[k].apply(y))
+    return _lift_law(cases(), cdata.p, "no degree-1 F supplied")
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +699,10 @@ def _cl_lift_rule(cdata):
 
 
 def specialize_n1(data):
-    """Extract the top-orbit pro-DGA B_{s+1} = E[s](C_{p^s}/C_{p^s})."""
+    """Extract the top-orbit pro-DGA B_{s+1} = E[s](C_{p^s}/C_{p^s}).
+
+    F and V of tower s must match B_s in every degree (MalformedData).
+    """
     if data.n != 1:
         raise NotApplicable("specialization requires n = 1")
     if data.classical_base is None:
@@ -783,10 +722,8 @@ def specialize_n1(data):
         top = p ** s
         tower = data.towers[s]
         levels[s + 1] = {q: tower.level(q, top) for q in range(D + 2)}
-        tabs = {(0, 0): tower.green0.mul[top]}
-        for (q1, q2), table in tower.pairings.items():
-            tabs[(q1, q2)] = table[top]
-        pairings[s + 1] = tabs
+        pairings[s + 1] = {qq: table[top]
+                           for qq, table in tower.pairings.items()}
         d_maps[s + 1] = {q: data.differential(s, q, top)
                          for q in range(D + 1)}
         theta = data.classical_base.theta[s]
@@ -802,7 +739,13 @@ def specialize_n1(data):
                         for q in range(D + 2)}
             V[s] = {q: tower.degree(q).tr_map(lowtop, top)
                     for q in range(D + 1)}
-            restr[s + 1] = {q: data.r_maps[s][q][lowtop]
-                            for q in sorted(data.r_maps[s])}
+            restr[s + 1] = {q: data.restriction(s, q, lowtop)
+                            for q in range(D + 1)}
+            for q in range(D + 2):
+                # F lands in, and V starts from, this level of tower s
+                if tower.level(q, lowtop).ngens != levels[s][q].ngens:
+                    raise MalformedData(
+                        "F and V of tower %d in degree %d do not match B_%d"
+                        % (s, q, s))
     return ClassicalWittData(p, spec, S, D, levels, pairings, F, V, restr,
                              d_maps, lam, witt_pres)

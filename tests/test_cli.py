@@ -219,6 +219,20 @@ class TestMalformedFiles:
         pytest.param(NORM_INPUT,
                      lambda: {"norm_class": "burnside", "N": float("inf")},
                      id="tambara-infinite-N"),
+        pytest.param(NORM_INPUT, lambda: {"norm_class": "burnside", "N": True},
+                     id="tambara-bool-N"),
+        pytest.param(NORM_INPUT, lambda: {"norm_class": "burnside", "N": "2"},
+                     id="tambara-string-N"),
+        pytest.param(MACKEY_SHOW, lambda: _mackey(N=True), id="mackey-bool-N"),
+        pytest.param(MACKEY_SHOW, lambda: _mackey(N="2"),
+                     id="mackey-string-N"),
+        pytest.param(CHECK_FILE, lambda: _family(p="3"), id="family-string-p"),
+        pytest.param(CHECK_FILE, lambda: _family(S=True), id="family-bool-S"),
+        pytest.param(CHECK_FILE, lambda: _family(D="0"), id="family-string-D"),
+        pytest.param(CHECK_FILE,
+                     lambda: {"base": {"norm_class": "constant:F3", "N": 1},
+                              "p": "3", "S": True},
+                     id="short-family-string-p-bool-S"),
     ])
     def test_exit_1_with_json_error(self, capsys, tmp_path, args, make):
         path = tmp_path / "bad.json"
@@ -340,6 +354,18 @@ class TestCheck:
         assert failing[0]["witness"] == {
             "tower": 1, "degree": 0, "pair": [3, 6], "generator": 0,
             "lhs": [4, 0], "rhs": [2, 0]}
+
+    def test_warnings_are_json_lines(self, capsys, tmp_path):
+        path = tmp_path / "burnside.json"
+        path.write_text(json.dumps(
+            {"base": {"norm_class": "burnside", "N": 1}, "p": 3, "S": 1}))
+        code, out, err = run(capsys, CHECK_FILE + [str(path)])
+        assert code == 0
+        assert json.loads(out)["status"] == "PASS"
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert lines and all(list(line) == ["warning"] for line in lines)
+        assert "infinite carrier" in lines[0]["warning"]
+        assert ".py" not in err
 
     def test_round_trip_through_loader(self, tmp_path):
         data = degree_zero_family(constant_tambara(ModularRing(3), 2), 3, 1)

@@ -4,13 +4,15 @@ import warnings
 
 import pytest
 
+from wittlab.abgroups import AbHom, FgAbGroup, unit_vector
 from wittlab.errors import (EvenPrime, MalformedData, NotApplicable,
                             PrimeDividesN)
-from wittlab.rings import IntegerRing, ModularRing
+from wittlab.rings import IntegerRing, ModularRing, parse_ring
 from wittlab.tambara import burnside_tambara, constant_tambara
-from wittlab.wittcomplex import (check_classical, check_equivariant,
-                                 degree_zero_family, specialize_n1,
-                                 with_identity_differential,
+from wittlab.witt import WittRing
+from wittlab.wittcomplex import (_first_difference, check_classical,
+                                 check_equivariant, degree_zero_family,
+                                 specialize_n1, with_identity_differential,
                                  with_scaled_transfer)
 
 
@@ -208,3 +210,129 @@ class TestReportShape:
         assert data["status"] == "FAIL"
         failing = [a for a in data["axioms"] if a["status"] == "FAIL"]
         assert failing and "witness" in failing[0]
+
+
+class TestInjectorsLeaveInputAlone:
+    def test_identity_differential_does_not_touch_its_input(self):
+        f = degree_zero_family(constant_tambara(ModularRing(3), 1), 3, 2)
+        with_identity_differential(f, 1)
+        assert f.D == 0
+        assert sorted(f.r_maps[2]) == [0]
+        assert f.d_maps == {}
+        assert check_equivariant(f).passed
+        bad = with_scaled_transfer(f, 2, (3, 9), 2)
+        names = [r.name for r in check_equivariant(bad).failures()]
+        assert names == ["res tr = [L:H]"]
+
+
+class TestSpecializeShapes:
+    @pytest.mark.parametrize("ring", ["F3", "Z/9"])
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_degree_one_of_one_tower_is_malformed(self, ring, s):
+        f = degree_zero_family(constant_tambara(parse_ring(ring), 1), 3, 2)
+        with pytest.raises(MalformedData,
+                           match=r"tower \d in degree 1 .* B_\d"):
+            specialize_n1(with_identity_differential(f, s))
+
+    def test_first_difference_of_unlike_shapes_is_empty(self):
+        a, b = FgAbGroup(1), FgAbGroup(2)
+        assert _first_difference(AbHom.identity(a),
+                                 AbHom.identity(b)) == {}
+
+
+def _eq_sides(data, name, w):
+    """Both sides of an equivariant hom law at the witness generator, and
+    the group they live in."""
+    g, pnu = w["generator"], data.p ** data.nu
+    if name == "compatibility isomorphisms":
+        s, small = w["towers"]
+        d = w["level"]
+        x = unit_vector(data.towers[s].level(0, d).ngens, g)
+        target = data.towers[small].level(1, d)
+        f1 = data.compat[(s, small)].get(1, {}).get(d)
+        dx = data.differential(s, 0, d).apply(x)
+        return (data.differential(small, 0, d).apply(
+                    data.compat[(s, small)][0][d].apply(x)),
+                target.zero() if f1 is None else f1.apply(dx), target)
+    s, q = w["tower"], w.get("degree", 0)
+    tower = data.towers[s]
+    if name == "d r = r d":
+        d = w["level"]
+        x = unit_vector(tower.level(q, d * pnu).ngens, g)
+        return (data.differential(s - data.nu, q, d).apply(
+                    data.restriction(s, q, d).apply(x)),
+                data.restriction(s, q + 1, d).apply(
+                    data.differential(s, q, d * pnu).apply(x)),
+                data.towers[s - data.nu].level(q + 1, d))
+    e, d = w["pair"]
+    x = unit_vector(tower.level(q, e).ngens, g)
+    if name == "res tr = [L:H]":
+        mk = tower.degree(q)
+        return (mk.res_map(d, e).apply(mk.tr_map(e, d).apply(x)),
+                mk.level(e).scale(d // e, x), mk.level(e))
+    assert name == "res d tr = d"
+    return (tower.degree(q + 1).res_map(d, e).apply(
+                data.differential(s, q, d).apply(
+                    tower.degree(q).tr_map(e, d).apply(x))),
+            data.differential(s, q, e).apply(x), tower.level(q + 1, e))
+
+
+LAMBDA_LAWS = {"lambda is a strict pro-map": ("restr", -1, "restriction"),
+               "lambda F = F lambda": ("F", -1, "frobenius"),
+               "lambda V = V lambda": ("V", 1, "verschiebung")}
+
+
+def _cl_sides(cdata, name, w):
+    """Both sides of a classical hom law at the witness generator."""
+    s, g = w["ring"], w["generator"]
+    if name == "F V = p":
+        q = w["degree"]
+        x = unit_vector(cdata.level(s, q).ngens, g)
+        return (cdata.F[s + 1][q].apply(cdata.V[s][q].apply(x)),
+                cdata.level(s, q).scale(cdata.p, x), cdata.level(s, q))
+    attr, step, op = LAMBDA_LAWS[name]
+    x = unit_vector(cdata.witt_pres[s].group.ngens, g)
+    witt = getattr(WittRing(cdata.p, max(s, s + step), cdata.ring_spec), op)
+    image = cdata.witt_pres[s + step].encode(witt(cdata.witt_pres[s].gens[g]))
+    return (getattr(cdata, attr)[s][0].apply(cdata.lam[s].apply(x)),
+            cdata.lam[s + step].apply(image), cdata.level(s + step, 0))
+
+
+def _doubled(cdata, attr):
+    """The classical data with attr[2][0] doubled."""
+    maps = dict(getattr(cdata, attr))
+    maps[2] = dict(maps[2])
+    maps[2][0] = maps[2][0].scale_by(2)
+    setattr(cdata, attr, maps)
+    return cdata
+
+
+class TestHomLawWitnesses:
+    """Every hom-law failure names a generator on which the two sides,
+    recomputed from the data, really differ."""
+
+    @pytest.mark.parametrize("ring", ["F3", "Z/9"])
+    def test_witness_generators_separate_the_sides(self, ring):
+        def family():
+            return degree_zero_family(
+                constant_tambara(parse_ring(ring), 1), 3, 2)
+        eq_faults = [with_identity_differential(family(), 0),
+                     with_identity_differential(family(), 1),
+                     with_scaled_transfer(family(), 2, (3, 9), 2)]
+        cl_faults = [specialize_n1(eq_faults[2]),
+                     _doubled(specialize_n1(family()), "restr"),
+                     _doubled(specialize_n1(family()), "F")]
+        seen = set()
+        for data, check, sides in (
+                [(d, check_equivariant, _eq_sides) for d in eq_faults]
+                + [(c, check_classical, _cl_sides) for c in cl_faults]):
+            for failure in check(data).failures():
+                w = failure.witness
+                if "generator" not in w:
+                    continue
+                lhs, rhs, group = sides(data, failure.name, w)
+                assert group.canonical(lhs) != group.canonical(rhs)
+                assert group.canonical(lhs) == group.canonical(w["lhs"])
+                assert group.canonical(rhs) == group.canonical(w["rhs"])
+                seen.add(failure.name)
+        assert {"d r = r d", "res d tr = d"} | set(LAMBDA_LAWS) <= seen
