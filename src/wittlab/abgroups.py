@@ -30,6 +30,10 @@ non-zero entries, and the matching rows of the inverse transform.
 first live coordinate that is not zero, and ``equal`` is ``is_zero`` of
 the difference.  Homomorphisms built inside this module skip the public
 constructor's per-entry coercion and relation check.
+
+Cokernels, coinvariants and the levels of the Mackey quotients (Weyl
+coinvariants, geometric fixed points, the nerve H_0) are all built by
+``quotient``: the same generators with more relation rows.
 """
 
 from fractions import Fraction
@@ -605,6 +609,15 @@ def image(hom):
     return igroup, AbHom(igroup, tgt, hom.matrix, check=True)
 
 
+def quotient(group, rows):
+    """The group modulo extra relation rows, on the same generators,
+    with the projection from ``group``; zero rows are not stored."""
+    rels = list(group.relations)
+    rels.extend(row for row in rows if any(row))
+    q = FgAbGroup(group.ngens, rels)
+    return q, _hom(group, q, identity_matrix(group.ngens))
+
+
 def cokernel(hom):
     """Target modulo image, with the projection from the target.
 
@@ -613,26 +626,20 @@ def cokernel(hom):
     >>> c.invariant_factors
     (3,)
     """
-    tgt = hom.target
-    rels = list(tgt.relations) + list(hom.matrix)
-    cgroup = FgAbGroup(tgt.ngens, rels)
-    proj = _hom(tgt, cgroup, identity_matrix(tgt.ngens))
-    return cgroup, proj
+    return quotient(hom.target, hom.matrix)
 
 
 def quotient_by_endomorphism_family(group, endos):
     """Coinvariants: quotient by the subgroup generated by x - phi(x)."""
-    rels = list(group.relations)
+    rows = []
     for phi in endos:
         if phi.source is not group and phi.source.ngens != group.ngens:
             raise ValueError("endomorphism does not act on the group")
         for i in range(group.ngens):
             row = [-x for x in phi.matrix[i]]
             row[i] += 1
-            if any(row):
-                rels.append(row)
-    q = FgAbGroup(group.ngens, rels)
-    return q, _hom(group, q, identity_matrix(group.ngens))
+            rows.append(row)
+    return quotient(group, rows)
 
 
 def direct_sum(*groups):

@@ -62,11 +62,12 @@ def _load_json(path):
 
 def _from_file(path, build):
     """build(JSON of the file); a value of the wrong JSON type, which
-    surfaces as a TypeError or AttributeError, raises MalformedData."""
+    surfaces as a TypeError or AttributeError, and a MalformedData of the
+    build raise MalformedData naming the file."""
     data = _load_json(path)
     try:
         return build(data)
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, MalformedData) as exc:
         raise MalformedData("malformed %s: %s" % (path, exc))
 
 
@@ -165,7 +166,7 @@ def _cmd_norm(args):
     R = _from_file(args.input, tambara.tambara_from_json)
     rng = random.Random(args.seed)
     out = tambara.norm_functor(R, args.p, args.k)
-    out.green.validate_green(rng)
+    out.green.validate_green()
     out.validate_tambara(rng)
     _emit(out.to_json(), args.format)
     return 0

@@ -11,7 +11,7 @@ for the cyclic group reads
 
 Box products are computed by a finite generators-and-relations
 presentation of the Day convolution, and geometric fixed points by the
-transfer (Brauer) quotient.
+transfer (Brauer) quotient, one case of ``quotient`` by added relations.
 """
 
 from math import gcd
@@ -683,6 +683,24 @@ def zeta(M, m):
     return MackeyFunctor(group, levels, res, tr, weyl)
 
 
+def quotient(M, levels):
+    """M modulo added relations: ``levels[d]`` presents a quotient of
+    ``M.level(d)`` on the same generators.  Returns (functor, projection);
+    raises ValueError when res, tr or weyl does not descend."""
+    def descend(src, tgt, hom):
+        return AbHom(levels[src], levels[tgt], hom.matrix, check=True)
+
+    weyl = {d: descend(d, d, hom) for d, hom in M.weyl.items()}
+    res = {key: descend(*key, hom) for key, hom in M.res.items()}
+    tr = {key: descend(*key, hom) for key, hom in M.tr.items()}
+    Q = MackeyFunctor(M.group, levels, res, tr, weyl)
+    proj = MackeyMap(M, Q, {d: AbHom(M.level(d), levels[d],
+                                     abgroups.identity_matrix(q.ngens),
+                                     check=False)
+                            for d, q in levels.items()})
+    return Q, proj
+
+
 def geometric_fixed_points(M, m):
     """Brauer quotient model of the C_m-geometric fixed points.
 
@@ -695,37 +713,12 @@ def geometric_fixed_points(M, m):
     if m != 1 and len(set(prime_steps(m))) != 1:
         raise ValueError("geometric fixed points need a prime power order")
     source = zeta(M, m)
-    group = source.group
     levels = {}
-    for d in group.divisors:
-        extra = []
-        target = M.level(d * m)
-        for e in divisors(d * m):
-            if e % m:
-                t = M.tr_map(e, d * m)
-                for row in t.matrix:
-                    if any(row):
-                        extra.append(list(row))
-        levels[d] = FgAbGroup(target.ngens,
-                              [list(r) for r in target.relations] + extra)
-    res = {}
-    tr = {}
-    weyl = {}
-    for d in group.divisors:
-        weyl[d] = AbHom(levels[d], levels[d],
-                        source.weyl[d].matrix, check=True)
-    for (dsub, d) in group.covering_pairs():
-        res[(d, dsub)] = AbHom(levels[d], levels[dsub],
-                               source.res[(d, dsub)].matrix, check=True)
-        tr[(dsub, d)] = AbHom(levels[dsub], levels[d],
-                              source.tr[(dsub, d)].matrix, check=True)
-    phi = MackeyFunctor(group, levels, res, tr, weyl)
-    proj = MackeyMap(source, phi,
-                     {d: AbHom(source.level(d), levels[d],
-                               abgroups.identity_matrix(levels[d].ngens),
-                               check=False)
-                      for d in group.divisors})
-    return phi, proj
+    for d in source.group.divisors:
+        extra = [row for e in divisors(d * m) if e % m
+                 for row in M.tr_map(e, d * m).matrix]
+        levels[d] = abgroups.quotient(source.level(d), extra)[0]
+    return quotient(source, levels)
 
 
 def weyl_coinvariants(M, d):

@@ -85,7 +85,7 @@ class GreenFunctor:
             n >>= 1
         return acc
 
-    def validate_green(self, rng=None, samples=4):
+    def validate_green(self):
         mk = self.mackey
         for d in mk.group.divisors:
             level = mk.level(d)

@@ -119,6 +119,8 @@ class WittComplexData:
 
     def __init__(self, base, p, S, D, towers, witt_tower, d_maps=None,
                  r_maps=None, lam=None, compat=None, classical_base=None):
+        if S < 0:
+            raise MalformedData("S = %d is negative" % S)
         self.base = base
         self.n = base.group.N
         self.p = p

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from wittlab.abgroups import (AbHom, FgAbGroup, _smith, cokernel,
                               determinant, direct_sum, identity_matrix,
                               image, is_isomorphism, kernel, matmul,
-                              preimage, quotient_by_endomorphism_family,
+                              preimage, quotient,
+                              quotient_by_endomorphism_family,
                               smith_normal_form, tensor)
 
 
@@ -458,6 +459,20 @@ class TestQuotients:
         g = FgAbGroup.from_invariant_factors([4])
         q, _ = quotient_by_endomorphism_family(g, [AbHom.identity(g)])
         assert q.invariant_factors == (4,)
+
+    def test_added_relations_keep_generators(self):
+        g = FgAbGroup(2, [[4, 0]])
+        q, proj = quotient(g, [[0, 0], [0, 6], [0, 0]])
+        assert q.relations == ((4, 0), (0, 6))
+        assert q.invariant_factors == (2, 12)
+        assert proj.source is g and proj.target is q
+        assert proj.matrix == ((1, 0), (0, 1))
+
+    def test_cokernel_stores_no_zero_rows(self):
+        z2 = FgAbGroup.free(2)
+        c, _ = cokernel(AbHom(z2, z2, [[0, 0], [0, 3]]))
+        assert c.relations == ((0, 3),)
+        assert c.invariant_factors == (3, 0)
 
 
 class TestDirectSumAndIso:

@@ -233,6 +233,14 @@ class TestMalformedFiles:
                      lambda: {"base": {"norm_class": "constant:F3", "N": 1},
                               "p": "3", "S": True},
                      id="short-family-string-p-bool-S"),
+        pytest.param(CHECK_FILE,
+                     lambda: {"base": {"norm_class": "constant:F3", "N": 1},
+                              "p": 3, "S": -1},
+                     id="short-family-negative-S"),
+        pytest.param(CHECK_FILE,
+                     lambda: {"base": {"norm_class": "constant:F3", "N": 1},
+                              "p": 3, "S": -1, "E": {}},
+                     id="family-negative-S"),
     ])
     def test_exit_1_with_json_error(self, capsys, tmp_path, args, make):
         path = tmp_path / "bad.json"

@@ -3,10 +3,12 @@ the operators F, V, r, the multiplicative lifts, and the twisted-nerve
 H_0 oracle."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from wittlab.abgroups import AbHom, identity_matrix, is_isomorphism
+from wittlab import eqwitt
+from wittlab.abgroups import AbHom, FgAbGroup, identity_matrix, is_isomorphism
 from wittlab.cli import family_to_json
 from wittlab.errors import LengthTooShort, NotApplicable
 from wittlab.eqwitt import (check_lift_power, check_r_lift_identity,
@@ -228,10 +230,9 @@ class TestInvariants:
         ]
 
     def test_full_mackey_and_green_suites(self):
-        rng = random.Random(0)
         for w in self.battery():
             w.green.mackey.validate()
-            w.green.validate_green(rng)
+            w.green.validate_green()
 
     def test_res_tr_is_index_everywhere(self):
         for w in self.battery():
@@ -280,14 +281,39 @@ class TestNerveOracle:
             comparison = nerve_comparison(base, p, k)
             assert all(comparison.values()), (base.norm_class.tag, comparison)
 
+    @staticmethod
+    def _nerve_with_level_3(monkeypatch, group):
+        """nerve_comparison of F3 over C_3 at k = 1, with level 3 of the
+        nerve side replaced by ``group``."""
+        base = constant_tambara(ModularRing(3), 1)
+        real = hh0_via_nerve(base, 3, 1)
+        fake = SimpleNamespace(
+            level=lambda d: group if d == 3 else real.level(d))
+        monkeypatch.setattr(eqwitt, "hh0_via_nerve", lambda *args: fake)
+        return nerve_comparison(base, 3, 1)
+
+    def test_same_invariant_factors_other_lattice_fails(self, monkeypatch):
+        # the coinvariants present Z/9 on e0 with e1 = 3 e0; swapping the
+        # generators gives Z/9 on e1 with e0 = 3 e1, another lattice
+        witt = equivariant_witt(constant_tambara(ModularRing(3), 1), 3, 1)
+        assert witt.level(3).relations == ((3, -1), (0, 3))
+        swapped = FgAbGroup(2, [[-1, 3], [3, 0]])
+        assert swapped.invariant_factors == witt.level(3).invariant_factors
+        assert self._nerve_with_level_3(monkeypatch, swapped) == \
+            {1: True, 3: False}
+
+    def test_other_generator_count_fails(self, monkeypatch):
+        z9 = FgAbGroup.from_invariant_factors([9])
+        assert self._nerve_with_level_3(monkeypatch, z9) == \
+            {1: True, 3: False}
+
     def test_nerve_top_level_n1(self):
         nerve = hh0_via_nerve(constant_tambara(ModularRing(3), 1), 3, 1)
         assert nerve.level(3).invariant_factors == (9,)
 
     def test_nerve_is_green(self):
-        rng = random.Random(2)
         nerve = hh0_via_nerve(burnside_tambara(2), 3, 1)
-        nerve.validate_green(rng)
+        nerve.validate_green()
 
 
 class TestEmbedding:

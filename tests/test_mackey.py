@@ -14,7 +14,8 @@ from wittlab.mackey import (CyclicGroupSpec, MackeyFunctor, MackeyMap,
                             box_symmetry_map, box_unit_map, burnside,
                             burnside_basis_vector, divisors,
                             fixed_point_mackey, geometric_fixed_points,
-                            restrict_to_subgroup, weyl_coinvariants, zeta)
+                            quotient, restrict_to_subgroup,
+                            weyl_coinvariants, zeta)
 from wittlab.rings import ModularRing
 from wittlab.tambara import constant_tambara
 
@@ -378,6 +379,23 @@ class TestGeometricFixedPoints:
     def test_composite_order_rejected(self):
         with pytest.raises(ValueError):
             geometric_fixed_points(burnside(6), 6)
+
+
+class TestQuotient:
+    def test_no_added_relations(self):
+        a6 = burnside(6)
+        q, proj = quotient(a6, a6.levels)
+        q.validate()
+        assert proj.source is a6 and proj.target is q
+        assert proj.is_levelwise_isomorphism()
+
+    def test_relation_that_does_not_descend(self):
+        # killing level 1 but not level 3: tr 1 -> 3 sends the killed
+        # generator to [C_3/C_1], which is not zero
+        a3 = burnside(3)
+        levels = {1: FgAbGroup(1, [[1]]), 3: a3.level(3)}
+        with pytest.raises(ValueError, match="does not preserve relations"):
+            quotient(a3, levels)
 
 
 class TestWeylCoinvariants:

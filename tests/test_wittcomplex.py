@@ -82,6 +82,10 @@ class TestEquivariantGuards:
         with pytest.warns(UserWarning):
             check_equivariant(data)
 
+    def test_negative_tower_length_rejected(self):
+        with pytest.raises(MalformedData, match="S = -1 is negative"):
+            degree_zero_family(constant_tambara(ModularRing(3), 1), 3, -1)
+
 
 class TestEquivariantViolations:
     def test_scaled_transfer_fails_res_tr(self):
