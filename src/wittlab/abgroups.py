@@ -17,10 +17,15 @@ The pivot is the first entry of least absolute value in row-major order
 of the trailing block; the search stops at the first unit.  Relation
 matrices (box products above all) are tall, sparse and full of units,
 so the elimination touches only non-zero entries: row operations run
-over the support of the pivot row, column operations over the rows that
-are non-zero in the pivot column, and a unit pivot skips the
-divisibility-chain scan.  None of this changes the transforms.  Group
-builds discard the left transform, so they do not build it.
+over the support of the pivot row and only on the rows that are non-zero
+in the pivot column, column operations over the rows that are non-zero
+there after them, and a unit pivot skips the divisibility-chain scan.
+A unit-row index keeps one flag per row, "holds +-1", and looks again
+only at the rows a step changed (the eliminated rows, the rows the
+column operations touched, a folded row, both rows of a swap), so the
+pivot search starts at the first flagged row instead of rescanning every
+row.  None of this changes the transforms.  Group builds discard the
+left transform, so they do not build it.
 
 Canonical forms use only the non-unit Smith columns.  A column whose
 invariant factor is 1 always reduces to x mod 1 = 0, so a group keeps
@@ -28,8 +33,14 @@ just its live columns (d_i != 1), each with its index, its d_i and its
 non-zero entries, and the matching rows of the inverse transform.
 ``canonical`` writes 0 at the unit positions, ``is_zero`` stops at the
 first live coordinate that is not zero, and ``equal`` is ``is_zero`` of
-the difference.  Homomorphisms built inside this module skip the public
-constructor's per-entry coercion and relation check.
+the difference.  The relation check of ``AbHom`` reads the target the
+same way: it forms the live coordinates of the image of each source
+generator once per map, and checks each source relation as a combination
+of them, over its non-zero entries, modulo each d_i.  That is the
+algebra of reducing the full image of the relation, with the same
+verdict and the same first failing relation.  Homomorphisms built inside
+this module skip the public constructor's per-entry coercion and
+relation check.
 
 Cokernels, coinvariants and the levels of the Mackey quotients (Weyl
 coinvariants, geometric fixed points, the nerve H_0) are all built by
@@ -37,14 +48,17 @@ coinvariants, geometric fixed points, the nerve H_0) are all built by
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import compress, count, product
 
 
 # ---------------------------------------------------------------------------
 # bare matrix helpers (rows of ints; row vector times matrix convention)
 
 def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def unit_vector(n, i):
@@ -157,18 +171,24 @@ def _smith(m, with_left=True):
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    a = [[int(x) for x in row] for row in m]
+    a = [list(map(int, row)) for row in m]
+    # unit[i] says whether row i holds an entry +-1; only the rows a step
+    # changes are looked at again.  The final True ends every search.
+    unit = [1 in row or -1 in row for row in a]
+    unit.append(True)
     left = identity_matrix(nrows) if with_left else None
     right = identity_matrix(ncols)
     right_inv = identity_matrix(ncols)
     t = 0
-    while t < min(nrows, ncols):
-        pivot = _pivot(a, t)
+    size = min(nrows, ncols)
+    while t < size:
+        pivot = _pivot(a, t, unit)
         if pivot is None:
             break
         pi, pj = pivot
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
+            unit[t], unit[pi] = unit[pi], unit[t]
             if with_left:
                 left[t], left[pi] = left[pi], left[t]
         if pj != t:
@@ -186,26 +206,32 @@ def _smith(m, with_left=True):
         pcols = _support(prow)
         lrow = left[t] if with_left else None
         lcols = _support(lrow) if with_left else ()
-        dirty = False
-        for i in range(t + 1, nrows):
+        # a row operation changes only the rows below t that are non-zero
+        # in column t; the rows above t are zero there
+        below = [i for i in range(t + 1, nrows) if a[i][t]]
+        for i in below:
             row = a[i]
             q = row[t] // piv
             if q:
                 for k in pcols:
                     row[k] -= q * prow[k]
+                unit[i] = 1 in row or -1 in row
                 if with_left:
                     lrow_i = left[i]
                     for k in lcols:
                         lrow_i[k] -= q * lrow[k]
-            if row[t]:
-                dirty = True
+        below = [i for i in below if a[i][t]]
         # column operations leave column t alone, so only the rows that
         # are non-zero there ever change
-        a_rows = [row for row in a if row[t]]
+        dirty = bool(below)
+        a_rows = [a[i] for i in below]
+        a_rows.append(prow)
         right_rows = [row for row in right if row[t]]
+        moved = False
         for j in range(t + 1, ncols):
             q = prow[j] // piv
             if q:
+                moved = True
                 for row in a_rows:
                     row[j] -= q * row[t]
                 for row in right_rows:
@@ -215,6 +241,10 @@ def _smith(m, with_left=True):
                                 in zip(right_inv[t], right_inv[j])]
             if prow[j]:
                 dirty = True
+        if moved:
+            unit[t] = 1 in prow or -1 in prow
+            for i in below:
+                unit[i] = 1 in a[i] or -1 in a[i]
         if dirty:
             continue  # leftover remainders are smaller than piv; repick
         # enforce the divisibility chain before advancing; every entry
@@ -222,14 +252,16 @@ def _smith(m, with_left=True):
         fold = None
         if piv != 1:
             for i in range(t + 1, nrows):
+                row = a[i]
                 for j in range(t + 1, ncols):
-                    if a[i][j] % piv:
+                    if row[j] % piv:
                         fold = i
                         break
                 if fold is not None:
                     break
         if fold is not None:
             a[t] = [x + y for x, y in zip(a[t], a[fold])]
+            unit[t] = 1 in a[t] or -1 in a[t]
             if with_left:
                 left[t] = [x + y for x, y in zip(left[t], left[fold])]
             continue
@@ -237,23 +269,29 @@ def _smith(m, with_left=True):
     return a, left, right, right_inv
 
 
-def _pivot(a, t):
+def _pivot(a, t, unit):
     """Position of the first entry of least absolute value in the
     trailing block from (t, t), in row-major order, or None if the
     block is zero.
 
     Rows from t on are zero left of column t, so whole rows can be
     searched.  A unit is the least possible value, so the first row
-    holding one decides the pivot without looking further.
+    flagged in ``unit`` decides the pivot without looking further;
+    ``unit`` ends with one more True, past the last row, that stops the
+    search when no row holds a unit.
     """
-    rows = range(t, len(a))
-    for i in rows:
+    i = unit.index(True, t)
+    if i < len(a):
         row = a[i]
-        if 1 in row or -1 in row:
-            return i, min(row.index(u) for u in (1, -1) if u in row)
+        j = row.index(1) if 1 in row else len(row)
+        if -1 in row:
+            j = min(j, row.index(-1))
+        return i, j
     pivot = None
     best = 0
-    for i in rows:
+    for i in range(t, len(a)):
+        if not any(a[i]):
+            continue
         for j, v in enumerate(a[i]):
             if v and (pivot is None or abs(v) < best):
                 pivot = (i, j)
@@ -288,7 +326,7 @@ class FgAbGroup:
         ngens = int(ngens)
         if ngens < 0:
             raise ValueError("ngens must be nonnegative")
-        rel = tuple(tuple(int(x) for x in row) for row in relations)
+        rel = tuple([tuple(map(int, row)) for row in relations])
         for row in rel:
             if len(row) != ngens:
                 raise ValueError("relation width does not match ngens")
@@ -444,7 +482,7 @@ class AbHom:
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source, target, matrix, check=True):
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        matrix = tuple([tuple(map(int, row)) for row in matrix])
         if len(matrix) != source.ngens:
             raise ValueError("matrix has wrong number of rows")
         for row in matrix:
@@ -453,12 +491,20 @@ class AbHom:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
-        if check:
+        if check and source.relations:
+            # the live coordinates of the image of each generator; a
+            # relation maps to zero iff its combination of them vanishes
+            # modulo d_i in every live column of the target
+            live = [(di, [sum([row[k] * c for k, c in col])
+                          for row in matrix])
+                    for _i, di, col in target._live]
             for rel in source.relations:
-                img = vecmat(rel, matrix)
-                if not target.is_zero(img):
-                    raise ValueError(
-                        "map does not preserve relations: %r" % (rel,))
+                support = list(compress(count(), rel))
+                for di, coords in live:
+                    z = sum([rel[k] * coords[k] for k in support])
+                    if z % di if di else z:
+                        raise ValueError(
+                            "map does not preserve relations: %r" % (rel,))
 
     def __setattr__(self, name, value):
         raise AttributeError("AbHom instances are immutable")

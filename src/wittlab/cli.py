@@ -264,6 +264,15 @@ def _hom_table(table, keys, source, target):
     return homs
 
 
+def _check_towers(table, key, S, *towers):
+    """MalformedData unless every tower index that ``key`` of the
+    family's ``table`` names lies in 0..S."""
+    for s in towers:
+        if not 0 <= s <= S:
+            raise MalformedData("%s key %r names tower %d outside 0..%d"
+                                % (table, key, s, S))
+
+
 def witt_complex_from_json(obj):
     """Rebuild checker input from a file; the Witt towers themselves
     are reconstructed from the base tag."""
@@ -286,6 +295,7 @@ def witt_complex_from_json(obj):
     r_maps = {}
     for key, per_degree in obj.get("r", {}).items():
         s = int(key)
+        _check_towers("r", key, S, s, s - nu)
         r_maps[s] = {0: _hom_table(
             per_degree["0"], per_degree["0"],
             lambda d: towers[s].level(0, d * p ** nu),
@@ -293,12 +303,14 @@ def witt_complex_from_json(obj):
     compat = {}
     for key, per_degree in obj.get("compat", {}).items():
         s, smaller = (int(x) for x in key.split(","))
+        _check_towers("compat", key, S, s, smaller)
         compat[(s, smaller)] = {0: _hom_table(
             per_degree["0"], per_degree["0"], partial(towers[s].level, 0),
             partial(towers[smaller].level, 0))}
     d_maps = {}
     for key, maps in obj.get("d", {}).items():
         s, q = (int(x) for x in key.split(","))
+        _check_towers("d", key, S, s)
         d_maps[(s, q)] = _hom_table(maps, maps, partial(towers[s].level, q),
                                     partial(towers[s].level, q + 1))
     return wittcomplex.WittComplexData(

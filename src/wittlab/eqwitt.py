@@ -47,6 +47,7 @@ class EquivariantWittFunctor:
         self.norm = norm
         self.green = green
         self.q = q
+        self._r = None  # restriction_r's GreenMap, built on first use
 
     @property
     def group(self):
@@ -100,9 +101,13 @@ def restriction_r(W):
     the Witt identification of the norm's class; a map of Green
     functors, so it commutes with F and V by construction.  The
     returned GreenMap carries the target functor as ``target_witt``.
+    It is built once per functor and kept on ``W``: later calls return
+    the same map, which callers must not mutate.
     """
     if W.k < W.nu:
         raise LengthTooShort("k = %d is below nu = %d" % (W.k, W.nu))
+    if W._r is not None:
+        return W._r
     pnu = W.p ** W.nu
     target = equivariant_witt(W.base, W.p, W.k - W.nu)
     phi, proj = mackey.geometric_fixed_points(W.green.mackey, pnu)
@@ -116,6 +121,7 @@ def restriction_r(W):
         comps[d] = ident.compose(proj.components[d])
     rmap = GreenMap(zeta_green(W.green, pnu), target.green, comps)
     rmap.target_witt = target
+    W._r = rmap
     return rmap
 
 

@@ -179,6 +179,13 @@ def _family(**edits):
     return data
 
 
+def _family_z9(**edits):
+    data = family_to_json(degree_zero_family(
+        constant_tambara(ModularRing(9), 2), 3, 1))
+    data.update(edits)
+    return data
+
+
 def _family_base_n(n):
     data = _family()
     data["base"]["N"] = n
@@ -241,6 +248,16 @@ class TestMalformedFiles:
                      lambda: {"base": {"norm_class": "constant:F3", "N": 1},
                               "p": 3, "S": -1, "E": {}},
                      id="family-negative-S"),
+        pytest.param(CHECK_FILE, lambda: _family_z9(S=0),
+                     id="family-r-key-above-S"),
+        pytest.param(CHECK_FILE, lambda: _family(r={"0": {"0": {}}}),
+                     id="family-r-key-below-nu"),
+        pytest.param(CHECK_FILE, lambda: _family(compat={"1,2": {"0": {}}}),
+                     id="family-compat-key-above-S"),
+        pytest.param(CHECK_FILE, lambda: _family(compat={"-1,0": {"0": {}}}),
+                     id="family-compat-key-negative"),
+        pytest.param(CHECK_FILE, lambda: _family(d={"2,0": {}}),
+                     id="family-d-key-above-S"),
     ])
     def test_exit_1_with_json_error(self, capsys, tmp_path, args, make):
         path = tmp_path / "bad.json"

@@ -53,6 +53,19 @@ class TestBurnsideWitt:
         w = equivariant_witt(burnside_tambara(1), 3, 0)
         with pytest.raises(LengthTooShort):
             restriction_r(w)
+        with pytest.raises(LengthTooShort):
+            restriction_r(w)
+
+    def test_r_is_built_once_per_functor(self):
+        w = equivariant_witt(constant_tambara(ModularRing(3), 1), 3, 2)
+        r = restriction_r(w)
+        assert restriction_r(w) is r
+        # a functor built again builds its own map, with equal matrices
+        again = restriction_r(equivariant_witt(
+            constant_tambara(ModularRing(3), 1), 3, 2))
+        assert again is not r
+        assert {d: h.matrix for d, h in again.components.items()} == \
+            {d: h.matrix for d, h in r.components.items()}
 
     def test_lift_is_the_norm(self):
         w = equivariant_witt(burnside_tambara(1), 3, 1)

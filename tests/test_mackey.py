@@ -245,6 +245,25 @@ class TestBoxProduct:
             assert diag == [abs(int(x)) for x in expected], d
         assert max(sizes) == (136, 70)
 
+    def test_burnside_48(self):
+        # A [] A = A: level d is free on the tau(d) orbits C_d/C_e
+        sympy = pytest.importorskip("sympy")
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        box = box_product(burnside(48), burnside(48))
+        for d in box.group.divisors:
+            level = box.level(d)
+            assert level.invariant_factors == (0,) * len(divisors(d)), d
+            rel = level.relations
+            if not rel:
+                continue
+            dmat, _, _ = smith_normal_form(rel)
+            diag = [dmat[i][i] for i in range(min(len(rel), len(rel[0])))]
+            expected = normalforms.invariant_factors(sympy.Matrix(rel),
+                                                     domain=sympy.ZZ)
+            assert diag == [abs(int(x)) for x in expected], d
+        assert len(box.level(48).relations) == 620
+        box.validate()
+
 
 class TestValidation:
     def test_tripled_transfer_is_rejected(self):

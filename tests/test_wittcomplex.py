@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from wittlab.abgroups import AbHom, FgAbGroup, unit_vector
+from wittlab.eqwitt import restriction_r
 from wittlab.errors import (EvenPrime, MalformedData, NotApplicable,
                             PrimeDividesN)
 from wittlab.rings import IntegerRing, ModularRing, parse_ring
@@ -227,6 +228,22 @@ class TestInjectorsLeaveInputAlone:
         bad = with_scaled_transfer(f, 2, (3, 9), 2)
         names = [r.name for r in check_equivariant(bad).failures()]
         assert names == ["res tr = [L:H]"]
+
+    def test_shared_restriction_maps_stay_unchanged(self):
+        # restriction_r keeps one GreenMap per Witt functor, and the
+        # injected copies share the functors of their input
+        f = degree_zero_family(constant_tambara(ModularRing(3), 1), 3, 2)
+        kept = {s: restriction_r(f.witt_tower[s]) for s in (1, 2)}
+        before = {s: {d: h.matrix for d, h in r.components.items()}
+                  for s, r in kept.items()}
+        for bad in (with_identity_differential(f, 1),
+                    with_scaled_transfer(f, 2, (3, 9), 2)):
+            assert not check_equivariant(bad).passed
+        for s, r in kept.items():
+            assert restriction_r(f.witt_tower[s]) is r
+            assert {d: h.matrix for d, h in r.components.items()} \
+                == before[s]
+        assert check_equivariant(f).passed
 
 
 class TestSpecializeShapes:
