@@ -38,9 +38,9 @@ same way: it forms the live coordinates of the image of each source
 generator once per map, and checks each source relation as a combination
 of them, over its non-zero entries, modulo each d_i.  That is the
 algebra of reducing the full image of the relation, with the same
-verdict and the same first failing relation.  Homomorphisms built inside
-this module skip the public constructor's per-entry coercion and
-relation check.
+verdict and the same first failing relation.  ``AbHom`` always checks;
+``_hom`` is the one way to skip the coercion and the relation check, for
+matrices the library built itself.
 
 Cokernels, coinvariants and the levels of the Mackey quotients (Weyl
 coinvariants, geometric fixed points, the nerve H_0) are all built by
@@ -49,6 +49,8 @@ coinvariants, geometric fixed points, the nerve H_0) are all built by
 
 from fractions import Fraction
 from itertools import compress, count, product
+
+from .errors import InternalInvariantFailure, MalformedData
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +140,8 @@ def determinant(m):
             if a[i][t]:
                 f = a[i][t] * inv
                 a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise InternalInvariantFailure("non-integer determinant %s" % det)
     return int(det)
 
 
@@ -153,7 +156,7 @@ def smith_normal_form(m):
     >>> [d[0][0], d[1][1]]
     [1, 6]
     """
-    d, left, right, _right_inv = _smith(m)
+    d, left, right, _right_inv = _smith([[int(x) for x in row] for row in m])
     return _frozen(d), _frozen(left), _frozen(right)
 
 
@@ -167,11 +170,12 @@ def _smith(m, with_left=True):
     ``right_inv`` is the inverse of ``right``: every column operation on
     ``right`` is matched by its inverse row operation on ``right_inv``.
     With ``with_left=False`` the left transform is not built and comes
-    back as ``None``; the other three results are the same.
+    back as ``None``; the other three results are the same.  ``m``, a
+    matrix of ints, is not changed.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    a = [list(map(int, row)) for row in m]
+    a = [list(row) for row in m]
     # unit[i] says whether row i holds an entry +-1; only the rows a step
     # changes are looked at again.  The final True ends every search.
     unit = [1 in row or -1 in row for row in a]
@@ -458,8 +462,10 @@ class FgAbGroup:
     @classmethod
     def from_json(cls, data):
         if "relations" in data:
-            return cls(data["ngens"], data["relations"])
-        return cls.from_invariant_factors(data["invariant_factors"])
+            return cls(_json_int(data["ngens"], "ngens"),
+                       _json_int(data["relations"], "relations", 2))
+        return cls.from_invariant_factors(
+            _json_int(data["invariant_factors"], "invariant_factors", 1))
 
     def describe(self):
         parts = []
@@ -481,7 +487,7 @@ class AbHom:
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source, target, matrix, check=True):
+    def __init__(self, source, target, matrix):
         matrix = tuple([tuple(map(int, row)) for row in matrix])
         if len(matrix) != source.ngens:
             raise ValueError("matrix has wrong number of rows")
@@ -491,7 +497,7 @@ class AbHom:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
-        if check and source.relations:
+        if source.relations:
             # the live coordinates of the image of each generator; a
             # relation maps to zero iff its combination of them vanishes
             # modulo d_i in every live column of the target
@@ -593,13 +599,24 @@ class AbHom:
 
 
 def _hom(source, target, matrix):
-    """AbHom from a matrix of ints with the right shape, built without
-    the public constructor's coercion and relation check."""
+    """AbHom from a matrix of ints, of the right shape and well defined,
+    built without the public constructor's coercion and relation check."""
     hom = object.__new__(AbHom)
     object.__setattr__(hom, "source", source)
     object.__setattr__(hom, "target", target)
     object.__setattr__(hom, "matrix", tuple(map(tuple, matrix)))
     return hom
+
+
+def _json_int(value, name, depth=0):
+    """An integer of a JSON file or, at ``depth`` > 0, arrays of them
+    nested that deep: a JSON true or a numeric string is MalformedData."""
+    if depth and isinstance(value, list):
+        return [_json_int(v, name, depth - 1) for v in value]
+    if depth or type(value) is not int:   # bool is a subclass of int
+        raise MalformedData("%s: expected %s, got %r" % (
+            name, "an array" if depth else "an integer", value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +627,7 @@ def _left_kernel_lattice(m, nrows, ncols):
     """Basis rows v with v * m = 0, for an explicit nrows x ncols matrix."""
     if nrows == 0:
         return []
-    d, left, _right = smith_normal_form(m)
+    d, left, _right, _rinv = _smith(m)
     rank = 0
     for i in range(min(nrows, ncols)):
         if d[i][i]:
@@ -644,7 +661,7 @@ def kernel(hom):
     basis = _left_kernel_lattice(stacked, len(stacked), src.ngens)
     rels = [row[:len(kgens)] for row in basis]
     kgroup = FgAbGroup(len(kgens), rels)
-    return kgroup, AbHom(kgroup, src, kgens, check=True)
+    return kgroup, AbHom(kgroup, src, kgens)
 
 
 def image(hom):
@@ -652,7 +669,7 @@ def image(hom):
     src, tgt = hom.source, hom.target
     rels = _solution_lattice(hom)
     igroup = FgAbGroup(src.ngens, rels)
-    return igroup, AbHom(igroup, tgt, hom.matrix, check=True)
+    return igroup, AbHom(igroup, tgt, hom.matrix)
 
 
 def quotient(group, rows):
@@ -710,7 +727,7 @@ def direct_sum(*groups):
             inj[i][offset + i] = 1
             prj[offset + i][i] = 1
         injections.append(_hom(g, total, inj))
-        projections.append(AbHom(total, g, prj, check=True))
+        projections.append(AbHom(total, g, prj))
         offset += g.ngens
     return total, injections, projections
 
@@ -779,7 +796,7 @@ def preimage(hom, y):
     nrows = len(stacked)
     if nrows == 0:
         return src.zero() if tgt.is_zero(y) else None
-    d, left, right = smith_normal_form(stacked)
+    d, left, right, _rinv = _smith(stacked)
     z = vecmat(y, right)
     w = [0] * nrows
     for j in range(tgt.ngens):

@@ -15,8 +15,9 @@ import warnings
 from functools import partial
 
 from . import abgroups, eqwitt, mackey, tambara, wittcomplex
+from .abgroups import _json_int
 from .errors import MalformedData, WittlabError
-from .mackey import MackeyFunctor, _json_int, divisors
+from .mackey import MackeyFunctor, divisors
 from .rings import parse_ring
 from .witt import WittRing
 
@@ -259,8 +260,8 @@ def _hom_table(table, keys, source, target):
     homs = {}
     for key in keys:
         d = int(key)
-        homs[d] = abgroups.AbHom(source(d), target(d), table[key]["matrix"],
-                                 check=False)
+        homs[d] = abgroups.AbHom(source(d), target(d), _json_int(
+            table[key]["matrix"], "matrix " + key, 2))
     return homs
 
 

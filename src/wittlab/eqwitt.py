@@ -114,7 +114,7 @@ def restriction_r(W):
     comps = {}
     for d in phi.group.divisors:
         ident = AbHom(phi.level(d), target.green.level(d),
-                      W.norm.norm_class.witt_rows(W.p, W.nu, d), check=True)
+                      W.norm.norm_class.witt_rows(W.p, W.nu, d))
         if not abgroups.is_isomorphism(ident):
             raise InternalInvariantFailure(
                 "Witt identification is not an isomorphism at level %d" % d)
@@ -203,8 +203,8 @@ def hh0_via_nerve(R, p, k):
             mu_rows.append(nmk.tr_map(e, d).apply(prod))
             # alpha cycles the last factor to the front and twists it
             alpha_rows.append(box._expand(d, e, nmk.weyl[e].matrix[j], gi))
-        mu = AbHom(box.level(d), nmk.level(d), mu_rows, check=True)
-        alpha = AbHom(box.level(d), box.level(d), alpha_rows, check=True)
+        mu = AbHom(box.level(d), nmk.level(d), mu_rows)
+        alpha = AbHom(box.level(d), box.level(d), alpha_rows)
         d1 = mu.compose(alpha)
         levels[d] = abgroups.quotient(nmk.level(d), mu.sub(d1).matrix)[0]
     quotient, _q = mackey.quotient(nmk, levels)

@@ -14,23 +14,28 @@ presentation of the Day convolution, and geometric fixed points by the
 transfer (Brauer) quotient, one case of ``quotient`` by added relations.
 """
 
+from functools import cache
 from math import gcd
 
 from . import abgroups
-from .abgroups import AbHom, FgAbGroup, unit_vector
+from .abgroups import AbHom, FgAbGroup, _hom, _json_int, unit_vector
 from .errors import (ActionOrderInvalid, GroupMismatch,
                      InternalInvariantFailure, MackeyAxiomFailure,
                      NotASubgroup)
 
 
+@cache
 def divisors(n):
-    """Sorted divisor list.
+    """Ascending divisors from the prime factors, with no loop over
+    1..n; cached, as builders ask again for every level.
 
     >>> divisors(12)
-    [1, 2, 3, 4, 6, 12]
+    (1, 2, 3, 4, 6, 12)
     """
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    out = {1}
+    for q in prime_steps(n):
+        out |= {d * q for d in out}
+    return tuple(sorted(out))
 
 
 def prime_steps(q):
@@ -57,7 +62,7 @@ class CyclicGroupSpec:
         if N < 1:
             raise ValueError("group order must be positive")
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "divisors", tuple(divisors(N)))
+        object.__setattr__(self, "divisors", divisors(N))
 
     def __setattr__(self, name, value):
         raise AttributeError("immutable")
@@ -234,18 +239,17 @@ class MackeyFunctor:
         group = CyclicGroupSpec(_json_int(data["N"], "N"))
         levels = {d: FgAbGroup.from_json(data["levels"][str(d)])
                   for d in group.divisors}
+
+        def hom(source, target, table, key):
+            return AbHom(levels[source], levels[target], _json_int(
+                data[table][key]["matrix"], "%s %s" % (table, key), 2))
+
         res = {}
         tr = {}
         for (dsub, d) in group.covering_pairs():
-            res[(d, dsub)] = AbHom(
-                levels[d], levels[dsub],
-                data["res"]["%d<-%d" % (dsub, d)]["matrix"])
-            tr[(dsub, d)] = AbHom(
-                levels[dsub], levels[d],
-                data["tr"]["%d->%d" % (dsub, d)]["matrix"])
-        weyl = {d: AbHom(levels[d], levels[d],
-                         data["weyl"][str(d)]["matrix"])
-                for d in group.divisors}
+            res[(d, dsub)] = hom(d, dsub, "res", "%d<-%d" % (dsub, d))
+            tr[(dsub, d)] = hom(dsub, d, "tr", "%d->%d" % (dsub, d))
+        weyl = {d: hom(d, d, "weyl", str(d)) for d in group.divisors}
         return cls(group, levels, res, tr, weyl)
 
     def __repr__(self):
@@ -257,14 +261,13 @@ class MackeyFunctor:
 class MackeyMap:
     """Levelwise homomorphism commuting with res, tr and weyl."""
 
-    def __init__(self, source, target, components, check=True):
+    def __init__(self, source, target, components):
         if source.group != target.group:
             raise GroupMismatch("maps need a common group")
         self.source = source
         self.target = target
         self.components = dict(components)
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         """Raises MackeyAxiomFailure unless every component commutes
@@ -302,14 +305,6 @@ def _require(ok, exc, message, *args):
         raise exc(message % args)
 
 
-def _json_int(value, name):
-    """An integer field of a JSON file: a JSON true or a numeric string
-    is a TypeError, not an int() coercion."""
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             TypeError, "%s must be an integer, got %r", name, value)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # the Burnside Mackey functor
 
@@ -340,8 +335,8 @@ def burnside(N):
             row = [0] * len(basis_d)
             row[basis_d.index(e)] = 1
             tmat.append(row)
-        res[(d, dsub)] = AbHom(levels[d], levels[dsub], rmat, check=False)
-        tr[(dsub, d)] = AbHom(levels[dsub], levels[d], tmat, check=False)
+        res[(d, dsub)] = _hom(levels[d], levels[dsub], rmat)
+        tr[(dsub, d)] = _hom(levels[dsub], levels[d], tmat)
     weyl = {d: AbHom.identity(levels[d]) for d in group.divisors}
     return MackeyFunctor(group, levels, res, tr, weyl)
 
@@ -404,18 +399,18 @@ def _fixed_point_mackey(A, action, N):
     for d in group.divisors:
         rows = [_factor_through_inclusion(action.apply(x), inclusions[d])
                 for x in inclusions[d].matrix]
-        weyl[d] = AbHom(levels[d], levels[d], rows, check=True)
+        weyl[d] = AbHom(levels[d], levels[d], rows)
     for (dsub, d) in group.covering_pairs():
         rows = [_factor_through_inclusion(x, inclusions[dsub])
                 for x in inclusions[d].matrix]
-        res[(d, dsub)] = AbHom(levels[d], levels[dsub], rows, check=True)
+        res[(d, dsub)] = AbHom(levels[d], levels[dsub], rows)
         trows = []
         for x in inclusions[dsub].matrix:
             acc = A.zero()
             for j in range(d // dsub):
                 acc = A.add(acc, action.power((j * (N // d)) % N).apply(x))
             trows.append(_factor_through_inclusion(acc, inclusions[d]))
-        tr[(dsub, d)] = AbHom(levels[dsub], levels[d], trows, check=True)
+        tr[(dsub, d)] = AbHom(levels[dsub], levels[d], trows)
     return MackeyFunctor(group, levels, res, tr, weyl), inclusions
 
 
@@ -465,7 +460,7 @@ class BoxProduct(MackeyFunctor):
                                  left.weyl[e].matrix[i],
                                  right.weyl[e].matrix[j])
                     for (e, i, j) in symbols[d]]
-            weyl[d] = AbHom(levels[d], levels[d], rows, check=True)
+            weyl[d] = AbHom(levels[d], levels[d], rows)
         memo = {}  # factor matrices shared by the _res_row calls below
         for (dsub, d) in group.covering_pairs():
             trows = []
@@ -473,10 +468,10 @@ class BoxProduct(MackeyFunctor):
                 row = [0] * len(symbols[d])
                 row[self._index(d, e, i, j)] = 1
                 trows.append(row)
-            tr[(dsub, d)] = AbHom(levels[dsub], levels[d], trows, check=True)
+            tr[(dsub, d)] = AbHom(levels[dsub], levels[d], trows)
             rrows = [self._res_row(d, dsub, sym, memo)
                      for sym in symbols[d]]
-            res[(d, dsub)] = AbHom(levels[d], levels[dsub], rrows, check=True)
+            res[(d, dsub)] = AbHom(levels[d], levels[dsub], rrows)
         super().__init__(group, levels, res, tr, weyl)
 
     # symbol bookkeeping
@@ -605,7 +600,7 @@ def box_unit_map(box, module):
             y = unit_vector(module.level(e).ngens, j)
             img = module.tr_map(f, d).apply(module.res_map(e, f).apply(y))
             rows.append(img)
-        comps[d] = AbHom(box.level(d), module.level(d), rows, check=True)
+        comps[d] = AbHom(box.level(d), module.level(d), rows)
     return MackeyMap(box, module, comps)
 
 
@@ -618,7 +613,7 @@ def box_symmetry_map(box, flipped):
             row = [0] * len(flipped.symbols[d])
             row[flipped._index(d, e, j, i)] = 1
             rows.append(row)
-        comps[d] = AbHom(box.level(d), flipped.level(d), rows, check=True)
+        comps[d] = AbHom(box.level(d), flipped.level(d), rows)
     return MackeyMap(box, flipped, comps)
 
 
@@ -645,8 +640,7 @@ def box_associativity_map(left_assoc, right_assoc):
                                        resp)
             xvec = unit_vector(m_fun.level(f).ngens, i)
             rows.append(right_assoc.pure_tensor(d, f, xvec, inner))
-        comps[d] = AbHom(left_assoc.level(d), right_assoc.level(d), rows,
-                         check=True)
+        comps[d] = AbHom(left_assoc.level(d), right_assoc.level(d), rows)
     return MackeyMap(left_assoc, right_assoc, comps)
 
 
@@ -688,15 +682,14 @@ def quotient(M, levels):
     ``M.level(d)`` on the same generators.  Returns (functor, projection);
     raises ValueError when res, tr or weyl does not descend."""
     def descend(src, tgt, hom):
-        return AbHom(levels[src], levels[tgt], hom.matrix, check=True)
+        return AbHom(levels[src], levels[tgt], hom.matrix)
 
     weyl = {d: descend(d, d, hom) for d, hom in M.weyl.items()}
     res = {key: descend(*key, hom) for key, hom in M.res.items()}
     tr = {key: descend(*key, hom) for key, hom in M.tr.items()}
     Q = MackeyFunctor(M.group, levels, res, tr, weyl)
-    proj = MackeyMap(M, Q, {d: AbHom(M.level(d), levels[d],
-                                     abgroups.identity_matrix(q.ngens),
-                                     check=False)
+    proj = MackeyMap(M, Q, {d: _hom(M.level(d), q,
+                                    abgroups.identity_matrix(q.ngens))
                             for d, q in levels.items()})
     return Q, proj
 

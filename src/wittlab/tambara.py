@@ -26,16 +26,16 @@ its encode and decode are integer arithmetic on ghost vectors over Z
 (``present_witt_ring``).  The base ring itself is cyclic on 1.
 """
 
+from functools import partial
 from math import gcd
 
 from . import abgroups
-from .abgroups import AbHom, FgAbGroup, bilinear, unit_vector
+from .abgroups import AbHom, FgAbGroup, _json_int, bilinear, unit_vector
 from .errors import (NotASubgroup, PrimeDividesN, TambaraAxiomFailure,
                      UnsupportedInput, WittlabError)
 from .mackey import (CyclicGroupSpec, MackeyFunctor, MackeyMap,
                      _factor_through_inclusion, _fixed_point_mackey,
-                     _json_int, _require, burnside, divisors, prime_steps,
-                     zeta)
+                     _require, burnside, divisors, prime_steps, zeta)
 from .rings import IntegerRing, ModularRing, is_prime, parse_ring
 from .witt import WittRing, _ghost, _solve
 
@@ -71,6 +71,10 @@ class GreenFunctor:
 
     def unit(self, d):
         return self.one[d]
+
+    def ring(self, d):
+        """Level d as a ring: its multiplication and its unit."""
+        return partial(self.multiply, d), self.one[d]
 
     def power(self, d, x, n):
         if n < 0:
@@ -109,33 +113,24 @@ class GreenFunctor:
                         rhs = self.multiply(d, gi, self.multiply(d, gj, gk))
                         _require(level.equal(lhs, rhs), TambaraAxiomFailure,
                                  "associativity fails at level %d", d)
-            w = mk.weyl[d]
-            _require(level.equal(w.apply(self.one[d]), self.one[d]),
+            fault = _ring_map_fault(mk.weyl[d], self.ring(d), self.ring(d))
+            _require(fault is None or fault["generators"],
                      TambaraAxiomFailure,
                      "weyl does not fix the unit at level %d", d)
-            for gi in gens:
-                for gj in gens:
-                    _require(level.equal(
-                        w.apply(self.multiply(d, gi, gj)),
-                        self.multiply(d, w.apply(gi), w.apply(gj))),
-                        TambaraAxiomFailure,
-                        "weyl is not a ring map at level %d", d)
+            _require(fault is None, TambaraAxiomFailure,
+                     "weyl is not a ring map at level %d", d)
         for (dsub, d) in mk.group.covering_pairs():
             r = mk.res[(d, dsub)]
             t = mk.tr[(dsub, d)]
             ld, lsub = mk.level(d), mk.level(dsub)
-            _require(lsub.equal(r.apply(self.one[d]), self.one[dsub]),
+            fault = _ring_map_fault(r, self.ring(d), self.ring(dsub))
+            _require(fault is None or fault["generators"],
                      TambaraAxiomFailure,
                      "res does not preserve the unit at (%d, %d)", dsub, d)
+            _require(fault is None, TambaraAxiomFailure,
+                     "res is not a ring map at (%d, %d)", dsub, d)
             for i in range(ld.ngens):
                 gi = unit_vector(ld.ngens, i)
-                for j in range(ld.ngens):
-                    gj = unit_vector(ld.ngens, j)
-                    _require(lsub.equal(
-                        r.apply(self.multiply(d, gi, gj)),
-                        self.multiply(dsub, r.apply(gi), r.apply(gj))),
-                        TambaraAxiomFailure,
-                        "res is not a ring map at (%d, %d)", dsub, d)
                 # Frobenius reciprocity x tr(y) = tr(res(x) y), bilinear
                 for j in range(lsub.ngens):
                     y = unit_vector(lsub.ngens, j)
@@ -226,31 +221,42 @@ class TambaraFunctor:
 class GreenMap(MackeyMap):
     """Map of Green functors: a Mackey map that is a ring map levelwise."""
 
-    def __init__(self, source, target, components, check=True):
+    def __init__(self, source, target, components):
         self.source_green = source
         self.target_green = target
-        super().__init__(source.mackey, target.mackey, components,
-                         check=check)
-        if check:
-            self.validate_ring_maps()
+        super().__init__(source.mackey, target.mackey, components)
+        self.validate_ring_maps()
 
     def validate_ring_maps(self):
         src, tgt = self.source_green, self.target_green
         for d in src.mackey.group.divisors:
-            f = self.components[d]
-            lt = tgt.level(d)
-            _require(lt.equal(f.apply(src.one[d]), tgt.one[d]),
+            fault = _ring_map_fault(self.components[d], src.ring(d),
+                                    tgt.ring(d))
+            _require(fault is None or fault["generators"],
                      TambaraAxiomFailure, "unit not preserved at level %d", d)
-            n = src.level(d).ngens
-            for i in range(n):
-                for j in range(n):
-                    lhs = f.apply(src.multiply(d, unit_vector(n, i),
-                                               unit_vector(n, j)))
-                    rhs = tgt.multiply(d, f.apply(unit_vector(n, i)),
-                                       f.apply(unit_vector(n, j)))
-                    _require(lt.equal(lhs, rhs), TambaraAxiomFailure,
-                             "component at level %d is not a ring map", d)
+            _require(fault is None, TambaraAxiomFailure,
+                     "component at level %d is not a ring map", d)
         return True
+
+
+def _ring_map_fault(f, source, target):
+    """None when f maps 1 to 1 and products of generators to products;
+    else ``{"generators": [i, j], "lhs": f(g_i g_j), "rhs": f(g_i) f(g_j)}``
+    at the first failure, ``[]`` (the empty product 1) checked first.
+    ``source`` and ``target`` are the rings as (multiply, one) pairs."""
+    (multiply, one), (target_multiply, target_one) = source, target
+    tgt = f.target
+    image = f.apply(one)
+    if not tgt.equal(image, target_one):
+        return {"generators": [], "lhs": image, "rhs": target_one}
+    n = f.source.ngens
+    for i, fi in enumerate(f.matrix):
+        for j, fj in enumerate(f.matrix):
+            lhs = f.apply(multiply(unit_vector(n, i), unit_vector(n, j)))
+            rhs = target_multiply(fi, fj)
+            if not tgt.equal(lhs, rhs):
+                return {"generators": [i, j], "lhs": lhs, "rhs": rhs}
+    return None
 
 
 def _sample_pool(level, rng, samples):
@@ -454,17 +460,12 @@ class ActionRing:
         self.mul = tuple(tuple(tuple(v) for v in row) for row in mul)
         self.one = tuple(one)
         self.action = action
-        n = group.ngens
-        for i in range(n):
-            for j in range(n):
-                lhs = action.apply(self.multiply(unit_vector(n, i),
-                                                 unit_vector(n, j)))
-                rhs = self.multiply(action.apply(unit_vector(n, i)),
-                                    action.apply(unit_vector(n, j)))
-                if not group.equal(lhs, rhs):
-                    raise ValueError("action is not a ring automorphism")
-        if not group.equal(action.apply(self.one), self.one):
-            raise ValueError("action does not fix the unit")
+        ring = (self.multiply, self.one)
+        fault = _ring_map_fault(action, ring, ring)
+        if fault is not None:
+            raise ValueError("action is not a ring automorphism"
+                             if fault["generators"]
+                             else "action does not fix the unit")
 
     def multiply(self, x, y):
         return bilinear(self.mul, x, y, self.group.ngens)
@@ -653,11 +654,9 @@ class Constant:
                 # p-direction: Witt Frobenius down, Verschiebung up
                 wr = towers[split_p_part(d, p)[0]]
                 fro = [at[dsub].encode(wr.frobenius(g)) for g in at[d].gens]
-                res[(d, dsub)] = AbHom(levels[d], levels[dsub], fro,
-                                       check=True)
+                res[(d, dsub)] = AbHom(levels[d], levels[dsub], fro)
                 ver = [at[d].encode(wr.verschiebung(g)) for g in at[dsub].gens]
-                tr[(dsub, d)] = AbHom(levels[dsub], levels[d], ver,
-                                      check=True)
+                tr[(dsub, d)] = AbHom(levels[dsub], levels[d], ver)
             else:
                 # n-direction: identity / multiplication by the index
                 res[(d, dsub)] = AbHom.identity(levels[d])
@@ -757,7 +756,8 @@ def restrict_green(G, h):
 def green_from_json(data):
     """Rebuild a Green functor from the extended Mackey schema."""
     mk = MackeyFunctor.from_json(data)
-    mul = {int(d): tuple(tuple(tuple(v) for v in row) for row in table)
+    mul = {int(d): _json_int(table, "mul " + d, 3)
            for d, table in data["mul"].items()}
-    one = {int(d): tuple(v) for d, v in data["one"].items()}
+    one = {int(d): _json_int(v, "one " + d, 1)
+           for d, v in data["one"].items()}
     return GreenFunctor(mk, mul, one)

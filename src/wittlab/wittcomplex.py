@@ -10,7 +10,8 @@ finite carriers for the non-additive lift rule):
   * d^2 = 0 and the Leibniz rule,
   * lambda r = r lambda  and  d r = r d,
   * res tr = [L:H]  and  res d tr = d  for all comparable subgroups,
-  * F d lambda([x]_k) = lambda([x]_{k-1})^{p-1} d lambda([x]_{k-1}).
+  * F d lambda([x]_k) = lambda([x]_{k-1})^{p-1} d lambda([x]_{k-1}),
+  * lambda is a ring map at every level.
 
 Both checkers share one implementation of d^2 = 0, Leibniz and the lift
 rule, over the graded ring of a tower level or of a classical B_s, and
@@ -32,8 +33,8 @@ from .eqwitt import (equivariant_witt, multiplicative_lift,
                      multiplicative_order, restriction_r)
 from .mackey import MackeyFunctor, divisors
 from .rings import is_prime
-from .tambara import (GreenFunctor, GreenMap, present_witt_ring,
-                      restrict_green)
+from .tambara import (GreenFunctor, GreenMap, _ring_map_fault,
+                      present_witt_ring, restrict_green)
 from .witt import WittRing
 
 TRIVIAL_GROUP = FgAbGroup(0)
@@ -43,7 +44,7 @@ def trivial_mackey(group):
     levels = {d: TRIVIAL_GROUP for d in group.divisors}
     res = {}
     tr = {}
-    zero = AbHom(TRIVIAL_GROUP, TRIVIAL_GROUP, (), check=False)
+    zero = AbHom.zero(TRIVIAL_GROUP, TRIVIAL_GROUP)
     for (dsub, d) in group.covering_pairs():
         res[(d, dsub)] = zero
         tr[(dsub, d)] = zero
@@ -220,8 +221,7 @@ def degree_zero_family(R, p, S):
             for d in divisors(p ** smaller * n):
                 a = witt_tower[s].green.level(d)
                 b = witt_tower[smaller].green.level(d)
-                comps[d] = AbHom(a, b, abgroups.identity_matrix(a.ngens),
-                                 check=True)
+                comps[d] = AbHom(a, b, abgroups.identity_matrix(a.ngens))
             compat[(s, smaller)] = {0: comps}
     return WittComplexData(R, p, S, 0, towers, witt_tower,
                            r_maps=r_maps, lam=lam, compat=compat,
@@ -419,6 +419,7 @@ def check_equivariant(data):
         _axiom_res_tr_index(data),
         _axiom_res_d_tr(data),
         _axiom_lift_rule(data),
+        _axiom_lambda_ring_map(data),
     ])
 
 
@@ -537,6 +538,18 @@ def _axiom_lift_rule(data):
                            data.lam[k - 1][lowtop].apply(y))
     return _lift_law(cases(), p, "no degree-1 compatibility witness for a "
                      "nonzero left side")
+
+
+def _axiom_lambda_ring_map(data):
+    name = "lambda is a ring map"
+    for s, tower in enumerate(data.towers):
+        for d in tower.group.divisors:
+            fault = _ring_map_fault(data.lam[s][d],
+                                    data.witt_tower[s].green.ring(d),
+                                    tower.green0.ring(d))
+            if fault is not None:
+                return _fail(name, tower=s, level=d, **fault)
+    return AxiomResult(name, "PASS")
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +745,7 @@ def specialize_n1(data):
         quotient = data.witt_tower[s].q.components[top]
         rows = [quotient.apply(theta(g)) for g in witt_pres[s + 1].gens]
         theta_hom = AbHom(witt_pres[s + 1].group,
-                          data.witt_tower[s].green.level(top), rows,
-                          check=True)
+                          data.witt_tower[s].green.level(top), rows)
         lam[s + 1] = data.lam[s][top].compose(theta_hom)
         if s >= 1:
             lowtop = p ** (s - 1)

@@ -12,7 +12,7 @@ import wittlab
 from wittlab.abgroups import FgAbGroup
 from wittlab.cli import family_to_json, main, witt_complex_from_json
 from wittlab.mackey import burnside
-from wittlab.rings import ModularRing
+from wittlab.rings import ModularRing, parse_ring
 from wittlab.tambara import burnside_tambara, constant_tambara
 from wittlab.witt import WittRing
 from wittlab.wittcomplex import degree_zero_family
@@ -192,6 +192,23 @@ def _family_base_n(n):
     return data
 
 
+def _edited(data, path, value):
+    """data with the entry at a path of keys replaced by value."""
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def _family_n1(ring="F3"):
+    return family_to_json(degree_zero_family(
+        constant_tambara(parse_ring(ring), 1), 3, 1))
+
+
+MUL_1 = ["E", "0", "degrees", "0", "mul", "1"]
+
+
 MACKEY_SHOW = ["mackey", "show", "--file"]
 NORM_INPUT = ["norm", "--p", "3", "--k", "1", "--input"]
 EQWITT_INPUT = ["eqwitt", "--p", "3", "--k", "1", "--input"]
@@ -258,6 +275,22 @@ class TestMalformedFiles:
                      id="family-compat-key-negative"),
         pytest.param(CHECK_FILE, lambda: _family(d={"2,0": {}}),
                      id="family-d-key-above-S"),
+        pytest.param(MACKEY_SHOW, lambda: _edited(
+            burnside(2).to_json(), ["levels", "1"],
+            {"invariant_factors": ["0"]}), id="mackey-string-factor"),
+        pytest.param(MACKEY_SHOW, lambda: _edited(
+            burnside(2).to_json(), ["res", "1<-2", "matrix"],
+            [["2"], [True]]), id="mackey-string-bool-matrix"),
+        pytest.param(MACKEY_SHOW, lambda: _edited(
+            burnside(2).to_json(), ["levels", "1"],
+            {"invariant_factors": [0], "ngens": True, "relations": [[False]]}),
+            id="mackey-bool-presentation"),
+        pytest.param(CHECK_FILE, lambda: _edited(_family_n1(), MUL_1,
+                                                 [[[True]]]),
+                     id="family-bool-mul"),
+        pytest.param(CHECK_FILE, lambda: _edited(_family_n1(), MUL_1,
+                                                 [[["1"]]]),
+                     id="family-string-mul"),
     ])
     def test_exit_1_with_json_error(self, capsys, tmp_path, args, make):
         path = tmp_path / "bad.json"
@@ -380,6 +413,33 @@ class TestCheck:
             "tower": 1, "degree": 0, "pair": [3, 6], "generator": 0,
             "lhs": [4, 0], "rhs": [2, 0]}
 
+    def test_lambda_that_breaks_a_relation_exits_1(self, capsys, tmp_path):
+        # (3, -1) is a relation of level 3 of tower 1; [[1, 0], [0, 0]]
+        # sends it to 3 e_0, which is not zero there
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_edited(
+            _family(), ["lambda", "1", "3", "matrix"], [[1, 0], [0, 0]])))
+        code, out, err = run(capsys, CHECK_FILE + [str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ValueError: map does not preserve relations: (3, -1)"}
+
+    @pytest.mark.parametrize("ring, matrix, lhs", [
+        ("F3", [[0]], [0]), ("Z/9", [[2]], [2])])
+    def test_lambda_that_is_not_a_ring_map_fails(self, capsys, tmp_path,
+                                                 ring, matrix, lhs):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_edited(
+            _family_n1(ring), ["lambda", "1", "1", "matrix"], matrix)))
+        code, out, _ = run(capsys, CHECK_FILE + [str(path)])
+        assert code == 1
+        report = json.loads(out)
+        failing = [a for a in report["axioms"] if a["status"] == "FAIL"]
+        assert failing == [{
+            "axiom": "lambda is a ring map", "status": "FAIL",
+            "witness": {"tower": 1, "level": 1, "generators": [],
+                        "lhs": lhs, "rhs": [1]}}]
+
     def test_warnings_are_json_lines(self, capsys, tmp_path):
         path = tmp_path / "burnside.json"
         path.write_text(json.dumps(
@@ -398,3 +458,38 @@ class TestCheck:
         rebuilt = witt_complex_from_json(json.loads(json.dumps(obj)))
         from wittlab.wittcomplex import check_equivariant
         assert check_equivariant(rebuilt).passed
+
+
+class TestRejectionsUnderOptimize:
+    """No validation may rely on assert, which python -O strips."""
+
+    @pytest.mark.parametrize("command, make, status, error", [
+        pytest.param(MACKEY_SHOW, lambda: _edited(
+            burnside(2).to_json(), ["res", "1<-2", "matrix"],
+            [["2"], [True]]), None, "MalformedData: malformed ",
+            id="mackey-string-bool-matrix"),
+        pytest.param(CHECK_FILE, lambda: _edited(
+            _family(), ["lambda", "1", "3", "matrix"], [[1, 0], [0, 0]]),
+            None, "ValueError: map does not preserve relations",
+            id="family-lambda-breaks-relation"),
+        pytest.param(CHECK_FILE, lambda: _edited(
+            _family_n1(), ["lambda", "1", "1", "matrix"], [[0]]),
+            "FAIL", None, id="family-lambda-not-unital"),
+    ])
+    def test_rejections_survive_optimize(self, tmp_path, command, make,
+                                         status, error):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(make()))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(wittlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "wittlab"] + command + [str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        if status is None:
+            assert proc.stdout == ""
+            assert json.loads(proc.stderr)["error"].startswith(error)
+        else:
+            assert json.loads(proc.stdout)["status"] == status

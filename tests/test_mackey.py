@@ -1,5 +1,6 @@
 """Tests for Mackey functors over cyclic groups."""
 
+import time
 from math import gcd
 
 import pytest
@@ -71,6 +72,18 @@ def res_by_double_cosets(box, d, dsub):
 class TestCyclicGroupSpec:
     def test_divisors(self):
         assert CyclicGroupSpec(12).divisors == (1, 2, 3, 4, 6, 12)
+
+    def test_divisors_match_trial_division(self):
+        for n in range(1, 2001):
+            assert list(divisors(n)) == \
+                [d for d in range(1, n + 1) if n % d == 0], n
+
+    def test_large_prime_power_builds_fast(self):
+        # the divisors come from the prime factors, not a loop over 1..N
+        start = time.process_time()
+        spec = CyclicGroupSpec(3 ** 30)
+        assert time.process_time() - start < 0.1
+        assert spec.divisors == tuple(3 ** i for i in range(31))
 
     def test_covering_pairs(self):
         assert set(CyclicGroupSpec(6).covering_pairs()) == {

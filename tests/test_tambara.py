@@ -18,15 +18,15 @@ from wittlab.abgroups import AbHom, FgAbGroup
 from wittlab.errors import (ActionOrderInvalid, NotASubgroup, PrimeDividesN,
                             TambaraAxiomFailure, UnsupportedInput,
                             WittlabError)
-from wittlab.mackey import box_product, divisors
+from wittlab.mackey import MackeyFunctor, box_product, divisors
 from wittlab.rings import (IntegerRing, ModularRing, PolynomialRing,
                            parse_ring)
-from wittlab.tambara import (ActionRing, GreenMap, burnside_from_marks,
-                             burnside_tambara, burnside_to_marks,
-                             constant_tambara, fixed_point_tambara,
-                             green_from_json, norm_functor,
-                             present_witt_ring, tambara_from_json,
-                             zeta_green)
+from wittlab.tambara import (ActionRing, GreenFunctor, GreenMap,
+                             burnside_from_marks, burnside_tambara,
+                             burnside_to_marks, constant_tambara,
+                             fixed_point_tambara, green_from_json,
+                             norm_functor, present_witt_ring,
+                             tambara_from_json, zeta_green)
 from wittlab.witt import WittRing, witt_from_ghost_over_z
 
 
@@ -440,6 +440,26 @@ class TestTypedValidation:
         with pytest.raises(TambaraAxiomFailure,
                            match=r"norm does not preserve 1 at \(1, 2\)"):
             t.validate_tambara(random.Random(0))
+
+    @pytest.mark.parametrize("table, key, matrix, message", [
+        ("weyl", 2, [[1, 0], [0, 2]], "weyl does not fix the unit at level 2"),
+        ("weyl", 2, [[0, 1], [0, 1]], "weyl is not a ring map at level 2"),
+        ("res", (2, 1), [[2], [2]],
+         r"res does not preserve the unit at \(1, 2\)"),
+        ("res", (2, 1), [[1], [1]], r"res is not a ring map at \(1, 2\)"),
+    ])
+    def test_structure_map_that_is_not_a_ring_map(self, table, key, matrix,
+                                                   message):
+        # in A(C_2), [C_2/C_1]^2 = 2 [C_2/C_1] and the unit is [C_2/C_2]
+        g = burnside_tambara(2).green
+        mk = g.mackey
+        maps = {"res": dict(mk.res), "weyl": dict(mk.weyl)}
+        old = maps[table][key]
+        maps[table][key] = AbHom(old.source, old.target, matrix)
+        bad = MackeyFunctor(mk.group, mk.levels, maps["res"], mk.tr,
+                            maps["weyl"])
+        with pytest.raises(TambaraAxiomFailure, match=message):
+            GreenFunctor(bad, g.mul, g.one).validate_green()
 
     def test_non_ring_map_is_rejected(self):
         g = constant_tambara(ModularRing(9), 2).green

@@ -53,7 +53,7 @@ class TestEquivariantPass:
         assert names == [
             "compatibility isomorphisms", "d^2 = 0", "Leibniz rule",
             "lambda r = r lambda", "d r = r d", "res tr = [L:H]",
-            "res d tr = d", "F d lambda lift rule"]
+            "res d tr = d", "F d lambda lift rule", "lambda is a ring map"]
 
     def test_empty_tower_vacuous(self):
         report = check_equivariant(family_const_f3_n1(S=0))
@@ -127,6 +127,32 @@ class TestEquivariantViolations:
         failure = report.failures()[0]
         assert failure.name == "compatibility isomorphisms"
         assert failure.witness["reason"] == "unit not preserved at level 1"
+
+    def test_lambda_that_is_not_multiplicative_fails(self):
+        # over Z, level 3 of tower 1 is W_2(Z) on 1 and V(1), with
+        # V(1)^2 = 3 V(1); lambda = 1 on 1 and V(1) -> V(1) + 1 keeps 1
+        # and the relations but sends V(1)^2 to 3 V(1) + 3, not
+        # (V(1) + 1)^2 = 5 V(1) + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            data = degree_zero_family(constant_tambara(IntegerRing(), 1),
+                                      3, 1)
+            lam = data.lam[1][3]
+            data.lam[1][3] = AbHom(lam.source, lam.target, [[1, 0], [1, 1]])
+            report = check_equivariant(data)
+        witness = report.failures()[-1].witness
+        assert report.failures()[-1].name == "lambda is a ring map"
+        assert witness == {"tower": 1, "level": 3, "generators": [1, 1],
+                           "lhs": [3, 3], "rhs": [1, 5]}
+        # the witness re-evaluates to the violated equation
+        green = data.towers[1].green0
+        f = data.lam[1][3]
+        i, j = witness["generators"]
+        assert list(f.apply(green.multiply(3, unit_vector(2, i),
+                                           unit_vector(2, j)))) == \
+            witness["lhs"]
+        assert list(green.multiply(3, f.matrix[i], f.matrix[j])) == \
+            witness["rhs"]
 
     def test_identity_differential_breaks_leibniz(self):
         bad = with_identity_differential(family_const_f3_n1(S=1), 1)
