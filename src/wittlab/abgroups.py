@@ -13,19 +13,27 @@ arbitrary-precision integers: there is no floating point anywhere, and
 no rational arithmetic outside ``determinant``, which is kept as a
 test oracle.
 
-The pivot is the first entry of least absolute value in row-major order
-of the trailing block; the search stops at the first unit.  Relation
-matrices (box products above all) are tall, sparse and full of units,
-so the elimination touches only non-zero entries: row operations run
-over the support of the pivot row and only on the rows that are non-zero
-in the pivot column, column operations over the rows that are non-zero
-there after them, and a unit pivot skips the divisibility-chain scan.
-A unit-row index keeps one flag per row, "holds +-1", and looks again
-only at the rows a step changed (the eliminated rows, the rows the
-column operations touched, a folded row, both rows of a swap), so the
-pivot search starts at the first flagged row instead of rescanning every
-row.  None of this changes the transforms.  Group builds discard the
-left transform, so they do not build it.
+Relation rows are sparse.  A group stores each row once, as a tuple of
+its non-zero ``(column, value)`` pairs; the public constructor coerces
+a caller's dense rows with ``int()`` and drops the zeros, and library
+builders (box products, direct sums, tensors, kernels, images) hand
+over sparse rows of ints directly.  ``relations`` writes the rows out
+dense on each read.
+
+The elimination works on these rows as dicts, so it touches only
+non-zero entries.  The pivot is the first entry of least absolute value
+in row-major order of the trailing block; the search stops at the first
+unit.  Row operations run over the support of the pivot row and only on
+the rows that are non-zero in the pivot column, column operations over
+the rows that are non-zero there after them, and a unit pivot skips the
+divisibility-chain scan.  A column swap moves no entry: the elimination
+keeps a permutation of the columns instead.  ``right`` is kept by
+sparse columns and ``right_inv`` by sparse rows, so each column
+operation is one sparse update of each.  A unit-row index keeps one
+flag per row, "holds +-1", and looks again only at the rows a step
+changed, so the pivot search starts at the first flagged row.  None of
+this changes the transforms.  Group builds discard the left transform,
+so they do not build it.
 
 Canonical forms use only the non-unit Smith columns.  A column whose
 invariant factor is 1 always reduces to x mod 1 = 0, so a group keeps
@@ -35,12 +43,13 @@ non-zero entries, and the matching rows of the inverse transform.
 first live coordinate that is not zero, and ``equal`` is ``is_zero`` of
 the difference.  The relation check of ``AbHom`` reads the target the
 same way: it forms the live coordinates of the image of each source
-generator once per map, and checks each source relation as a combination
-of them, over its non-zero entries, modulo each d_i.  That is the
-algebra of reducing the full image of the relation, with the same
-verdict and the same first failing relation.  ``AbHom`` always checks;
-``_hom`` is the one way to skip the coercion and the relation check, for
-matrices the library built itself.
+generator once per map, and checks each sparse source relation as a
+combination of them modulo each d_i.  That is the algebra of reducing
+the full image of the relation, with the same verdict and the same
+first failing relation.  ``AbHom`` always checks, through
+``_check_relations``, which the box product also calls on its sparse
+rows; ``_hom`` is the one way to skip the coercion and the relation
+check, for matrices the library built itself.
 
 Cokernels, coinvariants and the levels of the Mackey quotients (Weyl
 coinvariants, geometric fixed points, the nerve H_0) are all built by
@@ -48,7 +57,7 @@ coinvariants, geometric fixed points, the nerve H_0) are all built by
 """
 
 from fractions import Fraction
-from itertools import compress, count, product
+from itertools import compress, product
 
 from .errors import InternalInvariantFailure, MalformedData
 
@@ -156,37 +165,43 @@ def smith_normal_form(m):
     >>> [d[0][0], d[1][1]]
     [1, 6]
     """
-    d, left, right, _right_inv = _smith([[int(x) for x in row] for row in m])
-    return _frozen(d), _frozen(left), _frozen(right)
-
-
-def _frozen(m):
-    return tuple(tuple(row) for row in m)
-
-
-def _smith(m, with_left=True):
-    """Smith normal form as lists ``(d, left, right, right_inv)``.
-
-    ``right_inv`` is the inverse of ``right``: every column operation on
-    ``right`` is matched by its inverse row operation on ``right_inv``.
-    With ``with_left=False`` the left transform is not built and comes
-    back as ``None``; the other three results are the same.  ``m``, a
-    matrix of ints, is not changed.
-    """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    a = [list(row) for row in m]
+    d, left, right, _right_inv = _smith(_sparse_rows(m, ncols), ncols)
+    return (_dense([r.items() for r in d], ncols),
+            _dense([r.items() for r in left], nrows),
+            _transpose(right, ncols))
+
+
+def _smith(rows, ncols, with_left=True):
+    """Smith normal form of the matrix with the given sparse rows, as
+    ``(d, left, right, right_inv)`` with ``left * m * right = d``.
+
+    Each row of ``rows`` is a dict or an iterable of ``(column, value)``
+    pairs of ints, zeros left out; ``ncols`` is the width.  The results
+    are sparse too, as dicts keyed by index: ``d`` (diagonal) and
+    ``left`` are lists of rows, ``right`` a list of columns and
+    ``right_inv``, the inverse of ``right``, a list of rows.  With
+    ``with_left=False`` the left transform is not built and comes back
+    as ``None``; the other three results are the same.
+    """
+    nrows = len(rows)
+    a = [dict(row) for row in rows]
+    # columns never move: position j of the elimination holds column
+    # col[j], and pos inverts col, so a column swap costs O(1)
+    col = list(range(ncols))
+    pos = list(range(ncols))
     # unit[i] says whether row i holds an entry +-1; only the rows a step
     # changes are looked at again.  The final True ends every search.
-    unit = [1 in row or -1 in row for row in a]
+    unit = [1 in row.values() or -1 in row.values() for row in a]
     unit.append(True)
-    left = identity_matrix(nrows) if with_left else None
-    right = identity_matrix(ncols)
-    right_inv = identity_matrix(ncols)
+    left = [{i: 1} for i in range(nrows)] if with_left else None
+    right = [{j: 1} for j in range(ncols)]      # right[c]: column c
+    right_inv = [{j: 1} for j in range(ncols)]  # right_inv[c]: row c
     t = 0
     size = min(nrows, ncols)
     while t < size:
-        pivot = _pivot(a, t, unit)
+        pivot = _pivot(a, t, unit, pos)
         if pivot is None:
             break
         pi, pj = pivot
@@ -196,89 +211,81 @@ def _smith(m, with_left=True):
             if with_left:
                 left[t], left[pi] = left[pi], left[t]
         if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in right:
-                row[t], row[pj] = row[pj], row[t]
-            right_inv[t], right_inv[pj] = right_inv[pj], right_inv[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            if with_left:
-                left[t] = [-x for x in left[t]]
+            col[t], col[pj] = col[pj], col[t]
+            pos[col[t]] = t
+            pos[col[pj]] = pj
+        ct = col[t]
         prow = a[t]
-        piv = prow[t]
-        pcols = _support(prow)
-        lrow = left[t] if with_left else None
-        lcols = _support(lrow) if with_left else ()
+        piv = prow[ct]
+        if piv < 0:
+            piv = -piv
+            prow = a[t] = {k: -x for k, x in prow.items()}
+            if with_left:
+                left[t] = {k: -x for k, x in left[t].items()}
         # a row operation changes only the rows below t that are non-zero
         # in column t; the rows above t are zero there
-        below = [i for i in range(t + 1, nrows) if a[i][t]]
+        below = [i for i in range(t + 1, nrows) if ct in a[i]]
         for i in below:
             row = a[i]
-            q = row[t] // piv
+            q = row[ct] // piv
             if q:
-                for k in pcols:
-                    row[k] -= q * prow[k]
-                unit[i] = 1 in row or -1 in row
+                _sub_scaled(row, q, prow)
+                unit[i] = 1 in row.values() or -1 in row.values()
                 if with_left:
-                    lrow_i = left[i]
-                    for k in lcols:
-                        lrow_i[k] -= q * lrow[k]
-        below = [i for i in below if a[i][t]]
+                    _sub_scaled(left[i], q, left[t])
+        below = [i for i in below if ct in a[i]]
         # column operations leave column t alone, so only the rows that
         # are non-zero there ever change
-        dirty = bool(below)
         a_rows = [a[i] for i in below]
         a_rows.append(prow)
-        right_rows = [row for row in right if row[t]]
+        rcol = right[ct]
+        rinv_row = right_inv[ct]
         moved = False
-        for j in range(t + 1, ncols):
-            q = prow[j] // piv
-            if q:
+        for c, x in list(prow.items()):
+            q = x // piv
+            if q and c != ct:
                 moved = True
                 for row in a_rows:
-                    row[j] -= q * row[t]
-                for row in right_rows:
-                    row[j] -= q * row[t]
-                # col_j -= q col_t is undone by row_t += q row_j
-                right_inv[t] = [x + q * y for x, y
-                                in zip(right_inv[t], right_inv[j])]
-            if prow[j]:
-                dirty = True
+                    y = row.get(c, 0) - q * row[ct]
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+                _sub_scaled(right[c], q, rcol)
+                # col_c -= q col_t is undone by row_t += q row_c
+                _sub_scaled(rinv_row, -q, right_inv[c])
         if moved:
-            unit[t] = 1 in prow or -1 in prow
+            unit[t] = 1 in prow.values() or -1 in prow.values()
             for i in below:
-                unit[i] = 1 in a[i] or -1 in a[i]
-        if dirty:
+                unit[i] = 1 in a[i].values() or -1 in a[i].values()
+        if below or len(prow) > 1:
             continue  # leftover remainders are smaller than piv; repick
         # enforce the divisibility chain before advancing; every entry
         # is divisible by a unit pivot
         fold = None
         if piv != 1:
             for i in range(t + 1, nrows):
-                row = a[i]
-                for j in range(t + 1, ncols):
-                    if row[j] % piv:
-                        fold = i
-                        break
-                if fold is not None:
+                if any(x % piv for x in a[i].values()):
+                    fold = i
                     break
         if fold is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[fold])]
-            unit[t] = 1 in a[t] or -1 in a[t]
+            _sub_scaled(prow, -1, a[fold])
+            unit[t] = 1 in prow.values() or -1 in prow.values()
             if with_left:
-                left[t] = [x + y for x, y in zip(left[t], left[fold])]
+                _sub_scaled(left[t], -1, left[fold])
             continue
         t += 1
-    return a, left, right, right_inv
+    d = [{pos[k]: x for k, x in row.items()} for row in a]
+    return (d, left, [right[c] for c in col],
+            [right_inv[c] for c in col])
 
 
-def _pivot(a, t, unit):
-    """Position of the first entry of least absolute value in the
-    trailing block from (t, t), in row-major order, or None if the
-    block is zero.
+def _pivot(a, t, unit, pos):
+    """Position (row, elimination position) of the first entry of least
+    absolute value in the trailing block from (t, t), in row-major order,
+    or None if the block is zero.
 
-    Rows from t on are zero left of column t, so whole rows can be
+    Rows from t on are zero left of position t, so whole rows can be
     searched.  A unit is the least possible value, so the first row
     flagged in ``unit`` decides the pivot without looking further;
     ``unit`` ends with one more True, past the last row, that stops the
@@ -286,26 +293,73 @@ def _pivot(a, t, unit):
     """
     i = unit.index(True, t)
     if i < len(a):
-        row = a[i]
-        j = row.index(1) if 1 in row else len(row)
-        if -1 in row:
-            j = min(j, row.index(-1))
-        return i, j
+        return i, min([pos[k] for k, x in a[i].items() if x == 1 or x == -1])
     pivot = None
     best = 0
     for i in range(t, len(a)):
-        if not any(a[i]):
-            continue
-        for j, v in enumerate(a[i]):
-            if v and (pivot is None or abs(v) < best):
-                pivot = (i, j)
-                best = abs(v)
+        for k, x in a[i].items():
+            x = abs(x)
+            if pivot is None or x < best or (
+                    x == best and i == pivot[0] and pos[k] < pivot[1]):
+                pivot = (i, pos[k])
+                best = x
     return pivot
 
 
-def _support(row):
-    """Indices of the non-zero entries of a row."""
-    return [k for k, x in enumerate(row) if x]
+def _sub_scaled(row, q, other):
+    """row -= q * other, in place, for sparse rows; zeros are dropped."""
+    get = row.get
+    for k, x in other.items():
+        y = get(k, 0) - q * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _sparse(row):
+    """A dense row of ints as a tuple of its non-zero (column, value)
+    pairs."""
+    return tuple(compress(enumerate(row), row))
+
+
+def _sparse_rows(rows, width):
+    """A caller's dense rows as sparse rows: each entry coerced with
+    ``int()`` once, each row checked against the width and kept as a
+    tuple of its non-zero ``(column, value)`` pairs."""
+    out = []
+    for row in rows:
+        row = tuple(map(int, row))
+        if len(row) != width:
+            raise ValueError("relation width does not match ngens")
+        out.append(_sparse(row))
+    return out
+
+
+def _dense(rows, width):
+    """Sparse rows (iterables of ``(column, value)`` pairs) as a tuple of
+    dense tuples of the given width."""
+    out = []
+    for row in rows:
+        full = [0] * width
+        for k, x in row:
+            full[k] = x
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def _transpose(columns, nrows):
+    """Sparse columns (dicts) as a tuple of dense rows."""
+    out = [[0] * len(columns) for _ in range(nrows)]
+    for j, column in enumerate(columns):
+        for k, x in column.items():
+            out[k][j] = x
+    return tuple(map(tuple, out))
+
+
+def _diagonal(d, n):
+    """The first n diagonal entries of the sparse rows d, 0 past its end."""
+    return [d[i].get(i, 0) if i < len(d) else 0 for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,35 +377,14 @@ class FgAbGroup:
     False
     """
 
-    __slots__ = ("ngens", "relations", "_dvec", "_live", "_rinv",
+    __slots__ = ("ngens", "_rels", "_dvec", "_live", "_rinv",
                  "_invariants")
 
     def __init__(self, ngens, relations=()):
         ngens = int(ngens)
         if ngens < 0:
             raise ValueError("ngens must be nonnegative")
-        rel = tuple([tuple(map(int, row)) for row in relations])
-        for row in rel:
-            if len(row) != ngens:
-                raise ValueError("relation width does not match ngens")
-        object.__setattr__(self, "ngens", ngens)
-        object.__setattr__(self, "relations", rel)
-        if rel:
-            d, _left, right, rinv = _smith(rel, with_left=False)
-            dvec = [d[i][i] if i < len(rel) else 0 for i in range(ngens)]
-        else:
-            right = rinv = identity_matrix(ngens)
-            dvec = [0] * ngens
-        # only the columns with d_i != 1 can be non-zero modulo d_i
-        live = [i for i, di in enumerate(dvec) if di != 1]
-        object.__setattr__(self, "_dvec", tuple(dvec))
-        object.__setattr__(self, "_live", tuple(
-            (i, dvec[i], tuple((k, row[i]) for k, row in enumerate(right)
-                               if row[i]))
-            for i in live))
-        object.__setattr__(self, "_rinv", tuple(tuple(rinv[i]) for i in live))
-        inv = tuple(x for x in dvec if x != 1)
-        object.__setattr__(self, "_invariants", inv)
+        _present(self, ngens, _sparse_rows(relations, ngens))
 
     def __setattr__(self, name, value):
         raise AttributeError("FgAbGroup instances are immutable")
@@ -365,13 +398,14 @@ class FgAbGroup:
     @classmethod
     def from_invariant_factors(cls, factors):
         factors = [int(x) for x in factors]
-        rels = []
-        for i, f in enumerate(factors):
-            if f:
-                row = [0] * len(factors)
-                row[i] = f
-                rels.append(row)
-        return cls(len(factors), rels)
+        return _group(len(factors),
+                      [((i, f),) for i, f in enumerate(factors) if f])
+
+    @property
+    def relations(self):
+        """The relation rows as a tuple of dense tuples of length ngens;
+        the group stores them sparse and builds this on each read."""
+        return _dense(self._rels, self.ngens)
 
     @property
     def invariant_factors(self):
@@ -442,7 +476,7 @@ class FgAbGroup:
             return
         # live canonical coordinates in lexicographic order
         for coords in product(*(range(di) for _i, di, _col in self._live)):
-            yield tuple(vecmat(coords, self._rinv))
+            yield tuple(_combine(coords, self._rinv, self.ngens))
 
     def random_element(self, rng, bound=9):
         return tuple(rng.randint(-bound, bound) for _ in range(self.ngens))
@@ -454,7 +488,7 @@ class FgAbGroup:
         matrices meaningful after a round trip.
         """
         data = {"invariant_factors": list(self.invariant_factors)}
-        if self.relations or self.ngens != len(self.invariant_factors):
+        if self._rels or self.ngens != len(self.invariant_factors):
             data["ngens"] = self.ngens
             data["relations"] = [list(r) for r in self.relations]
         return data
@@ -477,6 +511,42 @@ class FgAbGroup:
         return "FgAbGroup(%d gens, %s)" % (self.ngens, self.describe())
 
 
+def _group(ngens, rels):
+    """FgAbGroup on ngens generators modulo sparse relation rows, tuples
+    of ``(column, value)`` pairs of ints with columns below ngens, built
+    without the public constructor's coercion and width check."""
+    group = object.__new__(FgAbGroup)
+    _present(group, ngens, rels)
+    return group
+
+
+def _present(group, ngens, rels):
+    """Fill the slots of ``group`` from its sparse relation rows."""
+    rels = tuple(rels)
+    d, _left, right, rinv = _smith(rels, ngens, with_left=False)
+    dvec = _diagonal(d, ngens)
+    # only the columns with d_i != 1 can be non-zero modulo d_i
+    live = [i for i, di in enumerate(dvec) if di != 1]
+    setattr_ = object.__setattr__
+    setattr_(group, "ngens", ngens)
+    setattr_(group, "_rels", rels)
+    setattr_(group, "_dvec", tuple(dvec))
+    setattr_(group, "_live", tuple((i, dvec[i], tuple(right[i].items()))
+                                   for i in live))
+    setattr_(group, "_rinv", tuple(tuple(rinv[i].items()) for i in live))
+    setattr_(group, "_invariants", tuple(x for x in dvec if x != 1))
+
+
+def _combine(coeffs, rows, width):
+    """The dense list sum of c * row over coeffs and sparse rows."""
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for k, x in row:
+                out[k] += c * x
+    return out
+
+
 class AbHom:
     """Homomorphism between presented groups, as a matrix on generators.
 
@@ -497,20 +567,7 @@ class AbHom:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
-        if source.relations:
-            # the live coordinates of the image of each generator; a
-            # relation maps to zero iff its combination of them vanishes
-            # modulo d_i in every live column of the target
-            live = [(di, [sum([row[k] * c for k, c in col])
-                          for row in matrix])
-                    for _i, di, col in target._live]
-            for rel in source.relations:
-                support = list(compress(count(), rel))
-                for di, coords in live:
-                    z = sum([rel[k] * coords[k] for k in support])
-                    if z % di if di else z:
-                        raise ValueError(
-                            "map does not preserve relations: %r" % (rel,))
+        _check_relations(source, target, map(_sparse, matrix))
 
     def __setattr__(self, name, value):
         raise AttributeError("AbHom instances are immutable")
@@ -608,6 +665,45 @@ def _hom(source, target, matrix):
     return hom
 
 
+def _check_relations(source, target, rows):
+    """Raise ValueError unless the map sending generator s of ``source``
+    to ``rows[s]``, a sparse row of ``target`` as ``(column, value)``
+    pairs, sends every relation of ``source`` into the relations of
+    ``target``.
+
+    A relation maps to zero iff its combination of the images vanishes
+    modulo d_i in every live column of the target, so the images are
+    taken in live coordinates once, through the live entries of each
+    row of the right transform, and each relation is read over its
+    non-zero entries only.
+    """
+    live = target._live
+    if not source._rels or not live:
+        return
+    through = {}  # generator k of target -> [(live index, right[k][i])]
+    for n, (_i, _di, col) in enumerate(live):
+        for k, c in col:
+            through.setdefault(k, []).append((n, c))
+    images = []  # the non-zero live coordinates of each image
+    for row in rows:
+        z = {}
+        for k, x in row:
+            for n, c in through.get(k, ()):
+                z[n] = z.get(n, 0) + x * c
+        images.append(z)
+    moduli = [di for _i, di, _col in live]
+    for rel in source._rels:
+        z = {}
+        for s, x in rel:
+            for n, c in images[s].items():
+                z[n] = z.get(n, 0) + x * c
+        for n, zn in z.items():
+            di = moduli[n]
+            if zn % di if di else zn:
+                raise ValueError("map does not preserve relations: %r"
+                                 % (_dense((rel,), source.ngens)[0],))
+
+
 def _json_int(value, name, depth=0):
     """An integer of a JSON file or, at ``depth`` > 0, arrays of them
     nested that deep: a JSON true or a numeric string is MalformedData."""
@@ -623,24 +719,26 @@ def _json_int(value, name, depth=0):
 # derived constructions
 
 
-def _left_kernel_lattice(m, nrows, ncols):
-    """Basis rows v with v * m = 0, for an explicit nrows x ncols matrix."""
-    if nrows == 0:
+def _left_kernel_lattice(rows, ncols):
+    """Basis of the v with v * m = 0, as dense rows, for the matrix m
+    with the given sparse rows and ncols columns."""
+    if not rows:
         return []
-    d, left, _right, _rinv = _smith(m)
-    rank = 0
-    for i in range(min(nrows, ncols)):
-        if d[i][i]:
-            rank += 1
-    return list(left[rank:])
+    d, left, _right, _rinv = _smith(rows, ncols)
+    rank = sum(1 for x in _diagonal(d, min(len(rows), ncols)) if x)
+    return list(_dense([row.items() for row in left[rank:]], len(rows)))
+
+
+def _stacked(hom):
+    """The rows of hom's matrix over the relation rows of its target,
+    sparse."""
+    return [_sparse(row) for row in hom.matrix] + list(hom.target._rels)
 
 
 def _solution_lattice(hom):
     """Basis of the lattice {x in Z^src : hom(x) = 0 in target}."""
-    src, tgt = hom.source, hom.target
-    stacked = list(hom.matrix) + list(tgt.relations)
-    basis = _left_kernel_lattice(stacked, len(stacked), tgt.ngens)
-    return [row[:src.ngens] for row in basis]
+    basis = _left_kernel_lattice(_stacked(hom), hom.target.ngens)
+    return [row[:hom.source.ngens] for row in basis]
 
 
 def kernel(hom):
@@ -657,27 +755,24 @@ def kernel(hom):
         triv = FgAbGroup(0)
         return triv, _hom(triv, src, [])
     # relations among the kernel generators, taken inside the source group
-    stacked = kgens + list(src.relations)
-    basis = _left_kernel_lattice(stacked, len(stacked), src.ngens)
-    rels = [row[:len(kgens)] for row in basis]
-    kgroup = FgAbGroup(len(kgens), rels)
+    stacked = [_sparse(row) for row in kgens] + list(src._rels)
+    basis = _left_kernel_lattice(stacked, src.ngens)
+    kgroup = _group(len(kgens), [_sparse(row[:len(kgens)]) for row in basis])
     return kgroup, AbHom(kgroup, src, kgens)
 
 
 def image(hom):
     """Image subgroup with its inclusion into the target."""
-    src, tgt = hom.source, hom.target
     rels = _solution_lattice(hom)
-    igroup = FgAbGroup(src.ngens, rels)
-    return igroup, AbHom(igroup, tgt, hom.matrix)
+    igroup = _group(hom.source.ngens, map(_sparse, rels))
+    return igroup, AbHom(igroup, hom.target, hom.matrix)
 
 
 def quotient(group, rows):
     """The group modulo extra relation rows, on the same generators,
     with the projection from ``group``; zero rows are not stored."""
-    rels = list(group.relations)
-    rels.extend(row for row in rows if any(row))
-    q = FgAbGroup(group.ngens, rels)
+    extra = [row for row in _sparse_rows(rows, group.ngens) if row]
+    q = _group(group.ngens, group._rels + tuple(extra))
     return q, _hom(group, q, identity_matrix(group.ngens))
 
 
@@ -711,12 +806,10 @@ def direct_sum(*groups):
     rels = []
     offset = 0
     for g in groups:
-        for row in g.relations:
-            full = [0] * ngens
-            full[offset:offset + g.ngens] = list(row)
-            rels.append(full)
+        rels.extend(tuple((k + offset, x) for k, x in row)
+                    for row in g._rels)
         offset += g.ngens
-    total = FgAbGroup(ngens, rels)
+    total = _group(ngens, rels)
     injections = []
     projections = []
     offset = 0
@@ -746,20 +839,11 @@ def tensor(a, b):
     def idx(i, j):
         return i * nb + j
 
-    rels = []
-    for row in a.relations:
-        for j in range(nb):
-            full = [0] * ngens
-            for i, c in enumerate(row):
-                full[idx(i, j)] = c
-            rels.append(full)
-    for row in b.relations:
-        for i in range(na):
-            full = [0] * ngens
-            for j, c in enumerate(row):
-                full[idx(i, j)] = c
-            rels.append(full)
-    t = FgAbGroup(ngens, rels)
+    rels = [tuple((idx(i, j), c) for i, c in row)
+            for row in a._rels for j in range(nb)]
+    rels += [tuple((idx(i, j), c) for j, c in row)
+             for row in b._rels for i in range(na)]
+    t = _group(ngens, rels)
 
     def pair(x, y):
         out = [0] * ngens
@@ -792,20 +876,20 @@ def is_isomorphism(hom):
 def preimage(hom, y):
     """Some x with hom(x) = y in the target, or None."""
     src, tgt = hom.source, hom.target
-    stacked = list(hom.matrix) + list(tgt.relations)
+    stacked = _stacked(hom)
     nrows = len(stacked)
     if nrows == 0:
         return src.zero() if tgt.is_zero(y) else None
-    d, left, right, _rinv = _smith(stacked)
-    z = vecmat(y, right)
+    d, left, right, _rinv = _smith(stacked, tgt.ngens)
+    z = [sum([y[k] * c for k, c in col.items()]) for col in right]
+    dvec = _diagonal(d, tgt.ngens)
     w = [0] * nrows
-    for j in range(tgt.ngens):
-        dj = d[j][j] if j < min(nrows, tgt.ngens) else 0
+    for j, dj in enumerate(dvec):
         if dj:
             if z[j] % dj:
                 return None
             w[j] = z[j] // dj
         elif z[j]:
             return None
-    v = vecmat(w, left)
+    v = _combine(w, [row.items() for row in left], nrows)
     return tuple(v[:src.ngens])

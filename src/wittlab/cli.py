@@ -254,15 +254,31 @@ def family_to_json(data):
     return out
 
 
-def _hom_table(table, keys, source, target):
+def _hom_table(name, table, keys, source, target):
     """{d: AbHom from source(d) to target(d)} read from a
-    ``{"<d>": {"matrix": ...}}`` table at the given keys."""
+    ``{"<d>": {"matrix": ...}}`` table at the given keys.  A malformed
+    matrix, or one that does not preserve relations, is MalformedData
+    naming the table and the key."""
     homs = {}
     for key in keys:
         d = int(key)
-        homs[d] = abgroups.AbHom(source(d), target(d), _json_int(
-            table[key]["matrix"], "matrix " + key, 2))
+        label = "%s matrix %s" % (name, key)
+        matrix = _json_int(table[key]["matrix"], label, 2)
+        try:
+            homs[d] = abgroups.AbHom(source(d), target(d), matrix)
+        except ValueError as exc:
+            raise MalformedData("%s: %s" % (label, exc))
     return homs
+
+
+def _degree_zero(table, key, per_degree):
+    """The degree-0 maps of an ``r`` or ``compat`` entry, which holds
+    no other degree: only degree-zero families load from JSON."""
+    for degree in per_degree:
+        if degree != "0":
+            raise MalformedData("%s key %r: degree %r is not 0"
+                                % (table, key, degree))
+    return per_degree["0"]
 
 
 def _check_towers(table, key, S, *towers):
@@ -287,7 +303,7 @@ def witt_complex_from_json(obj):
     witt_tower = [eqwitt.equivariant_witt(base, p, s) for s in range(S + 1)]
     towers = [wittcomplex.GradedTower(tambara.green_from_json(
         obj["E"][str(s)]["degrees"]["0"])) for s in range(S + 1)]
-    lam = {s: _hom_table(obj["lambda"][str(s)],
+    lam = {s: _hom_table("lambda %d" % s, obj["lambda"][str(s)],
                          [str(d) for d in towers[s].group.divisors],
                          witt_tower[s].green.level,
                          partial(towers[s].level, 0))
@@ -297,22 +313,25 @@ def witt_complex_from_json(obj):
     for key, per_degree in obj.get("r", {}).items():
         s = int(key)
         _check_towers("r", key, S, s, s - nu)
+        maps = _degree_zero("r", key, per_degree)
         r_maps[s] = {0: _hom_table(
-            per_degree["0"], per_degree["0"],
+            "r %s" % key, maps, maps,
             lambda d: towers[s].level(0, d * p ** nu),
             partial(towers[s - nu].level, 0))}
     compat = {}
     for key, per_degree in obj.get("compat", {}).items():
         s, smaller = (int(x) for x in key.split(","))
         _check_towers("compat", key, S, s, smaller)
+        maps = _degree_zero("compat", key, per_degree)
         compat[(s, smaller)] = {0: _hom_table(
-            per_degree["0"], per_degree["0"], partial(towers[s].level, 0),
+            "compat %s" % key, maps, maps, partial(towers[s].level, 0),
             partial(towers[smaller].level, 0))}
     d_maps = {}
     for key, maps in obj.get("d", {}).items():
         s, q = (int(x) for x in key.split(","))
         _check_towers("d", key, S, s)
-        d_maps[(s, q)] = _hom_table(maps, maps, partial(towers[s].level, q),
+        d_maps[(s, q)] = _hom_table("d %s" % key, maps, maps,
+                                    partial(towers[s].level, q),
                                     partial(towers[s].level, q + 1))
     return wittcomplex.WittComplexData(
         base, p, S, 0, towers, witt_tower, d_maps=d_maps, r_maps=r_maps,

@@ -202,7 +202,8 @@ def hh0_via_nerve(R, p, k):
             prod = norm_tam.green.multiply(e, gi, gj)
             mu_rows.append(nmk.tr_map(e, d).apply(prod))
             # alpha cycles the last factor to the front and twists it
-            alpha_rows.append(box._expand(d, e, nmk.weyl[e].matrix[j], gi))
+            alpha_rows.append(box.pure_tensor(d, e, nmk.weyl[e].matrix[j],
+                                              gi))
         mu = AbHom(box.level(d), nmk.level(d), mu_rows)
         alpha = AbHom(box.level(d), box.level(d), alpha_rows)
         d1 = mu.compose(alpha)

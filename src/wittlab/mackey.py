@@ -14,11 +14,13 @@ presentation of the Day convolution, and geometric fixed points by the
 transfer (Brauer) quotient, one case of ``quotient`` by added relations.
 """
 
+from collections import Counter
 from functools import cache
 from math import gcd
 
 from . import abgroups
-from .abgroups import AbHom, FgAbGroup, _hom, _json_int, unit_vector
+from .abgroups import (AbHom, FgAbGroup, _hom, _json_int, _sparse,
+                       unit_vector)
 from .errors import (ActionOrderInvalid, GroupMismatch,
                      InternalInvariantFailure, MackeyAxiomFailure,
                      NotASubgroup)
@@ -449,29 +451,26 @@ class BoxProduct(MackeyFunctor):
         self.symbols = symbols
         self._offsets = offsets
 
-        levels = {}
-        for d in group.divisors:
-            levels[d] = FgAbGroup(len(symbols[d]), self._relations(d))
+        levels = {d: abgroups._group(len(symbols[d]), self._relations(d))
+                  for d in group.divisors}
         res = {}
         tr = {}
         weyl = {}
+        wl = {e: list(map(_sparse, left.weyl[e].matrix))
+              for e in group.divisors}
+        wr = {e: list(map(_sparse, right.weyl[e].matrix))
+              for e in group.divisors}
         for d in group.divisors:
-            rows = [self._expand(d, e,
-                                 left.weyl[e].matrix[i],
-                                 right.weyl[e].matrix[j])
+            rows = [self._expand(d, e, wl[e][i], wr[e][j])
                     for (e, i, j) in symbols[d]]
-            weyl[d] = AbHom(levels[d], levels[d], rows)
-        memo = {}  # factor matrices shared by the _res_row calls below
+            weyl[d] = _box_hom(levels[d], levels[d], rows)
+        memo = {}  # factor matrices shared by the _res_rows calls below
         for (dsub, d) in group.covering_pairs():
-            trows = []
-            for (e, i, j) in symbols[dsub]:
-                row = [0] * len(symbols[d])
-                row[self._index(d, e, i, j)] = 1
-                trows.append(row)
-            tr[(dsub, d)] = AbHom(levels[dsub], levels[d], trows)
-            rrows = [self._res_row(d, dsub, sym, memo)
-                     for sym in symbols[d]]
-            res[(d, dsub)] = AbHom(levels[d], levels[dsub], rrows)
+            trows = [{self._index(d, e, i, j): 1}
+                     for (e, i, j) in symbols[dsub]]
+            tr[(dsub, d)] = _box_hom(levels[dsub], levels[d], trows)
+            res[(d, dsub)] = _box_hom(levels[d], levels[dsub],
+                                      self._res_rows(d, dsub, memo))
         super().__init__(group, levels, res, tr, weyl)
 
     # symbol bookkeeping
@@ -480,109 +479,137 @@ class BoxProduct(MackeyFunctor):
         right = self.factors[1]
         return self._offsets[d][e] + i * right.level(e).ngens + j
 
-    def _expand(self, d, e, xvec, yvec):
-        """Bilinear expansion of g_e(x (x) y) over the symbols at level d."""
-        row = [0] * len(self.symbols[d])
-        for i, xi in enumerate(xvec):
-            if xi:
-                for j, yj in enumerate(yvec):
-                    if yj:
-                        row[self._index(d, e, i, j)] += xi * yj
-        return row
+    def _expand(self, d, e, xs, ys):
+        """Bilinear expansion of g_e(x (x) y) over the symbols at level d,
+        as a sparse row {symbol: value}; x and y come as their non-zero
+        ``(index, value)`` pairs."""
+        base = self._offsets[d][e]
+        width = self.factors[1].level(e).ngens
+        return {base + i * width + j: x * y for i, x in xs for j, y in ys}
 
     def _relations(self, d):
+        """The relation rows of level d, sparse: tuples of
+        ``(symbol, value)`` pairs."""
         left, right = self.factors
         N = self.group.N
         rels = []
-        nsym = len(self.symbols[d])
         for e in divisors(d):
             gl = left.level(e)
             gr = right.level(e)
             # bilinearity against the presentations of the factors
-            for rel in gl.relations:
+            for rel in gl._rels:
                 for j in range(gr.ngens):
-                    row = self._expand(d, e, rel, unit_vector(gr.ngens, j))
-                    if any(row):
-                        rels.append(row)
-            for rel in gr.relations:
+                    rels.append(self._expand(d, e, rel, ((j, 1),)))
+            for rel in gr._rels:
                 for i in range(gl.ngens):
-                    row = self._expand(d, e, unit_vector(gl.ngens, i), rel)
-                    if any(row):
-                        rels.append(row)
+                    rels.append(self._expand(d, e, ((i, 1),), rel))
             # Weyl stabilization by the generator of C_d/C_e
             if e != d:
-                wl = left.weyl[e].power(N // d)
-                wr = right.weyl[e].power(N // d)
+                wl = [_sparse(r) for r in left.weyl[e].power(N // d).matrix]
+                wr = [_sparse(r) for r in right.weyl[e].power(N // d).matrix]
                 for i in range(gl.ngens):
                     for j in range(gr.ngens):
-                        row = self._expand(d, e, wl.matrix[i], wr.matrix[j])
-                        row[self._index(d, e, i, j)] -= 1
-                        if any(row):
-                            rels.append(row)
-            # Frobenius relations along covering pairs below e
+                        row = self._expand(d, e, wl[i], wr[j])
+                        _add_entry(row, self._index(d, e, i, j), -1)
+                        rels.append(row)
+            # Frobenius relations along covering pairs below e; the two
+            # sides lie in the disjoint symbol blocks of e and esub
             for q in sorted(set(prime_steps(e))):
                 esub = e // q
-                trl = left.tr[(esub, e)]
-                trr = right.tr[(esub, e)]
-                rsl = left.res[(e, esub)]
-                rsr = right.res[(e, esub)]
+                trl = left.tr[(esub, e)].matrix
+                trr = right.tr[(esub, e)].matrix
+                rsl = left.res[(e, esub)].matrix
+                rsr = right.res[(e, esub)].matrix
                 for i in range(left.level(esub).ngens):
                     for j in range(gr.ngens):
-                        row = self._expand(d, e, trl.matrix[i],
-                                           unit_vector(gr.ngens, j))
-                        sub = self._expand(
-                            d, esub, unit_vector(left.level(esub).ngens, i),
-                            rsr.matrix[j])
-                        row = [a - b for a, b in zip(row, sub)]
-                        if any(row):
-                            rels.append(row)
+                        row = self._expand(d, e, _sparse(trl[i]),
+                                           ((j, 1),))
+                        for k, x in self._expand(d, esub, ((i, 1),),
+                                                 _sparse(rsr[j])).items():
+                            row[k] = -x
+                        rels.append(row)
                 for i in range(gl.ngens):
                     for j in range(right.level(esub).ngens):
-                        row = self._expand(d, e, unit_vector(gl.ngens, i),
-                                           trr.matrix[j])
-                        sub = self._expand(
-                            d, esub, rsl.matrix[i],
-                            unit_vector(right.level(esub).ngens, j))
-                        row = [a - b for a, b in zip(row, sub)]
-                        if any(row):
-                            rels.append(row)
-        return rels
+                        row = self._expand(d, e, ((i, 1),),
+                                           _sparse(trr[j]))
+                        for k, x in self._expand(d, esub, _sparse(rsl[i]),
+                                                 ((j, 1),)).items():
+                            row[k] = -x
+                        rels.append(row)
+        return [tuple(row.items()) for row in rels if row]
 
-    def _res_row(self, d, dsub, sym, memo):
-        """Double coset expansion of res applied to one symbol.
+    def _res_rows(self, d, dsub, memo):
+        """Double coset expansion of res from level d to level dsub, one
+        sparse row per symbol of level d.  Terms of the expansion with
+        the same images are expanded once, times their multiplicity.
 
         ``memo`` caches the factors' restriction and Weyl-power matrices
-        for the rows of one construction; the factors must not change
-        while it is in use.
+        and the images below for the rows of one construction; the
+        factors must not change while it is in use.
         """
-        left, right = self.factors
         N = self.group.N
-        (e, i, j) = sym
-        g = gcd(e, dsub)
-        l = e * dsub // g
-        count = d // l
-        key = ("res", e, g)
+        rows = []
+        for e in divisors(d):
+            g = gcd(e, dsub)
+            terms = Counter(self._res_images(e, g, t * (N // d) % (N // g),
+                                             memo)
+                            for t in range(d * g // (e * dsub)))
+            for i in range(self.factors[0].level(e).ngens):
+                for j in range(self.factors[1].level(e).ngens):
+                    row = {}
+                    for (xs, ys), m in terms.items():
+                        for k, x in self._expand(dsub, g, xs[i],
+                                                 ys[j]).items():
+                            _add_entry(row, k, m * x)
+                    rows.append(row)
+        return rows
+
+    def _res_images(self, e, g, shift, memo):
+        """The images of the generators of both factors at level e under
+        res to level g and then the Weyl power ``shift``, as non-zero
+        pairs: (left images, right images)."""
+        key = ("images", e, g, shift)
         if key not in memo:
-            memo[key] = (left.res_map(e, g).matrix,
-                         right.res_map(e, g).matrix)
-        rx = memo[key][0][i]
-        ry = memo[key][1][j]
-        row = [0] * len(self.symbols[dsub])
-        for t in range(count):
-            shift = (t * (N // d)) % (N // g)
-            key = ("weyl", g, shift)
-            if key not in memo:
-                memo[key] = (left.weyl[g].power(shift).matrix,
-                             right.weyl[g].power(shift).matrix)
-            wx = abgroups.vecmat(rx, memo[key][0])
-            wy = abgroups.vecmat(ry, memo[key][1])
-            part = self._expand(dsub, g, wx, wy)
-            row = [a + b for a, b in zip(row, part)]
-        return row
+            if ("res", e, g) not in memo:
+                memo[("res", e, g)] = [factor.res_map(e, g).matrix
+                                       for factor in self.factors]
+            if ("weyl", g, shift) not in memo:
+                memo[("weyl", g, shift)] = [factor.weyl[g].power(shift).matrix
+                                            for factor in self.factors]
+            memo[key] = tuple(
+                tuple(_sparse(abgroups.vecmat(row, weyl)) for row in res)
+                for res, weyl in zip(memo[("res", e, g)],
+                                     memo[("weyl", g, shift)]))
+        return memo[key]
 
     def pure_tensor(self, d, e, xvec, yvec):
         """Element g_e(x (x) y) of level d, for x, y at level e | d."""
-        return tuple(self._expand(d, e, xvec, yvec))
+        base = self._offsets[d][e]
+        width = self.factors[1].level(e).ngens
+        ys = _sparse(yvec)
+        row = [0] * len(self.symbols[d])
+        for i, x in enumerate(xvec):
+            if x:
+                for j, y in ys:
+                    row[base + i * width + j] = x * y
+        return tuple(row)
+
+
+def _add_entry(row, k, x):
+    """row[k] += x in a sparse row, dropping the entry when it is 0."""
+    y = row.get(k, 0) + x
+    if y:
+        row[k] = y
+    else:
+        del row[k]
+
+
+def _box_hom(source, target, rows):
+    """The AbHom of a box product with the given sparse rows, checked
+    like the public constructor but without its coercion."""
+    abgroups._check_relations(source, target, [r.items() for r in rows])
+    return _hom(source, target, abgroups._dense(
+        [r.items() for r in rows], target.ngens))
 
 
 def box_product(left, right):

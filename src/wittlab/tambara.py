@@ -31,8 +31,8 @@ from math import gcd
 
 from . import abgroups
 from .abgroups import AbHom, FgAbGroup, _json_int, bilinear, unit_vector
-from .errors import (NotASubgroup, PrimeDividesN, TambaraAxiomFailure,
-                     UnsupportedInput, WittlabError)
+from .errors import (MalformedData, NotASubgroup, PrimeDividesN,
+                     TambaraAxiomFailure, UnsupportedInput, WittlabError)
 from .mackey import (CyclicGroupSpec, MackeyFunctor, MackeyMap,
                      _factor_through_inclusion, _fixed_point_mackey,
                      _require, burnside, divisors, prime_steps, zeta)
@@ -57,6 +57,15 @@ class GreenFunctor:
         for d in mackey.group.divisors:
             if d not in self.mul or d not in self.one:
                 raise ValueError("missing ring structure at level %d" % d)
+            n = mackey.level(d).ngens
+            if len(self.mul[d]) != n or any(
+                    len(row) != n or any(len(v) != n for v in row)
+                    for row in self.mul[d]):
+                raise MalformedData("mul at level %d is not %d x %d x %d"
+                                    % (d, n, n, n))
+            if len(self.one[d]) != n:
+                raise MalformedData("one at level %d has %d entries, not %d"
+                                    % (d, len(self.one[d]), n))
 
     @property
     def group(self):

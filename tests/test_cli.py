@@ -1,5 +1,6 @@
 """CLI tests: documented flows, exit codes, deterministic output."""
 
+import hashlib
 import json
 import os
 import random
@@ -166,6 +167,36 @@ class TestMackeyAndBox:
         assert data["levels"]["2"]["invariant_factors"] == [0, 0]
 
 
+# exit code, stdout length and stdout sha256 of ``box`` as recorded
+# before relation rows went sparse: the rows, the Smith transforms and
+# with them every printed coordinate must come out the same
+BOX_OUTPUTS = [
+    pytest.param(lambda: burnside(12), lambda: burnside(12),
+                 0, 308533, "f30e0e4fb2f2cca8c245c9c5451bcfc2"
+                 "584a121e5207495f250ea8a00cc76f01", id="A12-A12"),
+    pytest.param(lambda: burnside(24), lambda: burnside(24),
+                 0, 1674000, "112cb404aad8d4d4c0ee3db067f53f6d"
+                 "db2a004963a1e3e72aaf9043dc351c52", id="A24-A24"),
+    pytest.param(lambda: burnside(12),
+                 lambda: constant_tambara(parse_ring("Z/9"), 12).mackey,
+                 0, 40452, "df49ae74b32d58b3ddb01ba964f4c901"
+                 "ca38c349176f08340165b0ea99dac33e", id="A12-Z9"),
+]
+
+
+class TestBoxOutputBytes:
+    @pytest.mark.parametrize("left, right, code, size, digest", BOX_OUTPUTS)
+    def test_stdout_unchanged(self, capsys, tmp_path, left, right, code,
+                              size, digest):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(left().to_json()))
+        b.write_text(json.dumps(right().to_json()))
+        got, out, _ = run(capsys, ["box", "--a", str(a), "--b", str(b)])
+        data = out.encode()
+        assert (got, len(data), hashlib.sha256(data).hexdigest()) == (
+            code, size, digest)
+
+
 def _mackey(**edits):
     data = burnside(2).to_json()
     data.update(edits)
@@ -207,6 +238,7 @@ def _family_n1(ring="F3"):
 
 
 MUL_1 = ["E", "0", "degrees", "0", "mul", "1"]
+ONE_1 = ["E", "0", "degrees", "0", "one", "1"]
 
 
 MACKEY_SHOW = ["mackey", "show", "--file"]
@@ -303,6 +335,39 @@ class TestMalformedFiles:
         assert list(last) == ["error"]
         assert last["error"].startswith("MalformedData: ")
         assert str(path) in last["error"]
+
+
+class TestFamilyShapes:
+    """Ring tables of the wrong shape and maps in a degree other than 0
+    are MalformedData naming where they are: one JSON error line, no
+    traceback and no report."""
+
+    @pytest.mark.parametrize("make, where", [
+        pytest.param(lambda: _edited(_family_n1(), MUL_1, [[[1, 0]]]),
+                     "mul at level 1", id="mul-long-product"),
+        pytest.param(lambda: _edited(_family_n1(), MUL_1, [[[1]], [[1]]]),
+                     "mul at level 1", id="mul-two-rows"),
+        pytest.param(lambda: _edited(_family_n1(), MUL_1, [[]]),
+                     "mul at level 1", id="mul-empty-row"),
+        pytest.param(lambda: _edited(_family_n1(), MUL_1, []),
+                     "mul at level 1", id="mul-empty"),
+        pytest.param(lambda: _edited(_family_n1(), ONE_1, [1, 0]),
+                     "one at level 1", id="one-two-entries"),
+        pytest.param(lambda: _edited(_family(), ["r", "1", "1"], "garbage"),
+                     "r key '1': degree '1'", id="r-degree-1"),
+        pytest.param(lambda: _edited(_family(), ["compat", "1,0", "7"],
+                                     [True, "x"]),
+                     "compat key '1,0': degree '7'", id="compat-degree-7"),
+    ])
+    def test_exit_1_naming_the_entry(self, capsys, tmp_path, make, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(make()))
+        code, out, err = run(capsys, CHECK_FILE + [str(path)])
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error.startswith("MalformedData: malformed %s: " % path)
+        assert where in error
 
 
 class TestNorm:
@@ -421,8 +486,10 @@ class TestCheck:
             _family(), ["lambda", "1", "3", "matrix"], [[1, 0], [0, 0]])))
         code, out, err = run(capsys, CHECK_FILE + [str(path)])
         assert (code, out) == (1, "")
+        # the error names the file, the table and the key
         assert json.loads(err) == {
-            "error": "ValueError: map does not preserve relations: (3, -1)"}
+            "error": "MalformedData: malformed %s: lambda 1 matrix 3: map "
+                     "does not preserve relations: (3, -1)" % path}
 
     @pytest.mark.parametrize("ring, matrix, lhs", [
         ("F3", [[0]], [0]), ("Z/9", [[2]], [2])])
@@ -470,7 +537,7 @@ class TestRejectionsUnderOptimize:
             id="mackey-string-bool-matrix"),
         pytest.param(CHECK_FILE, lambda: _edited(
             _family(), ["lambda", "1", "3", "matrix"], [[1, 0], [0, 0]]),
-            None, "ValueError: map does not preserve relations",
+            None, "MalformedData: malformed ",
             id="family-lambda-breaks-relation"),
         pytest.param(CHECK_FILE, lambda: _edited(
             _family_n1(), ["lambda", "1", "1", "matrix"], [[0]]),
