@@ -9,9 +9,8 @@ are all decided by modular reduction.  The elimination carries the
 inverse of its right transform along (each column operation is undone
 by a row operation), so mapping canonical coordinates back to the
 generators needs no second pass.  Everything runs on Python's
-arbitrary-precision integers: there is no floating point anywhere, and
-no rational arithmetic outside ``determinant``, which is kept as a
-test oracle.
+arbitrary-precision integers: there is no floating point and no
+rational arithmetic anywhere.
 
 Relation rows are sparse.  A group stores each row once, as a tuple of
 its non-zero ``(column, value)`` pairs; the public constructor coerces
@@ -37,76 +36,44 @@ so they do not build it.
 
 Canonical forms use only the non-unit Smith columns.  A column whose
 invariant factor is 1 always reduces to x mod 1 = 0, so a group keeps
-just its live columns (d_i != 1), each with its index, its d_i and its
-non-zero entries, and the matching rows of the inverse transform.
-``canonical`` writes 0 at the unit positions, ``is_zero`` stops at the
-first live coordinate that is not zero, and ``equal`` is ``is_zero`` of
-the difference.  The relation check of ``AbHom`` reads the target the
-same way: it forms the live coordinates of the image of each source
-generator once per map, and checks each sparse source relation as a
-combination of them modulo each d_i.  That is the algebra of reducing
-the full image of the relation, with the same verdict and the same
-first failing relation.  ``AbHom`` always checks, through
-``_check_relations``, which the box product also calls on its sparse
-rows; ``_hom`` is the one way to skip the coercion and the relation
-check, for matrices the library built itself.
+just its live columns (d_i != 1), each with its index and its d_i, the
+non-zero live entries of each generator, and the matching rows of the
+inverse transform.  The live coordinates of an element are summed over
+its non-zero entries only; ``canonical`` writes 0 at the unit positions,
+``is_zero`` stops at the first live coordinate that is not zero, and
+``equal`` is ``is_zero`` of the difference.
+
+A homomorphism stores its rows as a group stores its relations: row s,
+the image of source generator s, is a tuple of non-zero ``(column,
+value)`` pairs, and ``matrix`` writes the rows out dense on each read.
+Every operation, from ``apply`` and ``compose`` to kernels and
+cokernels, works on the sparse rows; ``equal`` skips identical rows.
+The relation check forms the live coordinates of the image of each
+source generator once per map, and checks each sparse source relation
+as a combination of them modulo each d_i: the verdict, and the first
+failing relation, of reducing the full image of each relation.
+``AbHom`` and ``_checked_hom`` always check, through
+``_check_relations``; ``_hom`` is the one way to skip the coercion and
+the check, for rows the library built itself.
 
 Cokernels, coinvariants and the levels of the Mackey quotients (Weyl
 coinvariants, geometric fixed points, the nerve H_0) are all built by
-``quotient``: the same generators with more relation rows.
+``_quotient``: the same generators with more relation rows.
 """
 
-from fractions import Fraction
-from itertools import compress, product
+from itertools import compress, product, repeat
 
-from .errors import InternalInvariantFailure, MalformedData
+from .errors import MalformedData
 
 
 # ---------------------------------------------------------------------------
 # bare matrix helpers (rows of ints; row vector times matrix convention)
-
-def identity_matrix(n):
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
 
 def unit_vector(n, i):
     """The i-th standard basis vector of Z^n, as a tuple."""
     v = [0] * n
     v[i] = 1
     return tuple(v)
-
-
-def matmul(a, b):
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix dimensions do not match")
-    bcols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * bcols
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
-        out.append(acc)
-    return out
-
-
-def vecmat(v, m):
-    """Row vector times matrix."""
-    if len(v) != len(m):
-        raise ValueError("vector/matrix dimensions do not match")
-    ncols = len(m[0]) if m else 0
-    acc = [0] * ncols
-    for x, row in zip(v, m):
-        if x:
-            for j, y in enumerate(row):
-                if y:
-                    acc[j] += x * y
-    return acc
 
 
 def bilinear(table, x, y, n):
@@ -123,35 +90,6 @@ def bilinear(table, x, y, n):
                         if v:
                             acc[t] += c * v
     return tuple(acc)
-
-
-def determinant(m):
-    """Exact determinant via fraction-based Gaussian elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for t in range(n):
-        piv = None
-        for i in range(t, n):
-            if a[i][t]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != t:
-            a[t], a[piv] = a[piv], a[t]
-            det = -det
-        det *= a[t][t]
-        inv = 1 / a[t][t]
-        for i in range(t + 1, n):
-            if a[i][t]:
-                f = a[i][t] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-    if det.denominator != 1:
-        raise InternalInvariantFailure("non-integer determinant %s" % det)
-    return int(det)
 
 
 def smith_normal_form(m):
@@ -323,15 +261,17 @@ def _sparse(row):
     return tuple(compress(enumerate(row), row))
 
 
-def _sparse_rows(rows, width):
+def _sparse_rows(rows, width,
+                 mismatch="relation width does not match ngens"):
     """A caller's dense rows as sparse rows: each entry coerced with
-    ``int()`` once, each row checked against the width and kept as a
-    tuple of its non-zero ``(column, value)`` pairs."""
+    ``int()`` once, each row checked against the width, ValueError
+    ``mismatch`` if it differs, and kept as a tuple of its non-zero
+    ``(column, value)`` pairs."""
     out = []
     for row in rows:
         row = tuple(map(int, row))
         if len(row) != width:
-            raise ValueError("relation width does not match ngens")
+            raise ValueError(mismatch)
         out.append(_sparse(row))
     return out
 
@@ -362,6 +302,30 @@ def _diagonal(d, n):
     return [d[i].get(i, 0) if i < len(d) else 0 for i in range(n)]
 
 
+def _unit_rows(n):
+    """The rows of the n x n identity matrix, sparse."""
+    return tuple([((i, 1),) for i in range(n)])
+
+
+def _accumulate(row, table):
+    """The sum of x * table[k] over the pairs (k, x) of a sparse row,
+    where each table[k] is a sparse row too, as a dict; entries that
+    cancel stay in it as zeros."""
+    acc = {}
+    get = acc.get
+    for k, x in row:
+        for j, y in table[k]:
+            acc[j] = get(j, 0) + x * y
+    return acc
+
+
+def _row_sum(a, b, c=1):
+    """The sparse row a + c * b."""
+    acc = dict(a)
+    _sub_scaled(acc, -c, dict(b))
+    return tuple(acc.items())
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -377,7 +341,7 @@ class FgAbGroup:
     False
     """
 
-    __slots__ = ("ngens", "_rels", "_dvec", "_live", "_rinv",
+    __slots__ = ("ngens", "_rels", "_dvec", "_live", "_through", "_rinv",
                  "_invariants")
 
     def __init__(self, ngens, relations=()):
@@ -422,24 +386,35 @@ class FgAbGroup:
         if len(x) != self.ngens:
             raise ValueError("element has wrong length")
         out = [0] * self.ngens
-        for i, di, col in self._live:
-            z = sum([x[k] * c for k, c in col])
-            out[i] = z % di if di else z
+        z = _accumulate(_sparse(x), self._through)
+        for n, (i, di) in enumerate(self._live):
+            zn = z.get(n, 0)
+            out[i] = zn % di if di else zn
         return tuple(out)
 
     def is_zero(self, x):
         if len(x) != self.ngens:
             raise ValueError("element has wrong length")
-        for _i, di, col in self._live:
-            z = sum([x[k] * c for k, c in col])
-            if z % di if di else z:
-                return False
-        return True
+        return self._is_zero_row(_sparse(x))
 
     def equal(self, x, y):
         if len(x) != len(y):
             raise ValueError("element has wrong length")
         return self.is_zero([a - b for a, b in zip(x, y)])
+
+    def _is_zero_row(self, row):
+        """is_zero for an element given as a sparse row."""
+        return self._vanishes(_accumulate(row, self._through))
+
+    def _vanishes(self, z):
+        """Whether live coordinates ``{n: value}`` are all 0 modulo
+        their invariant factors."""
+        live = self._live
+        for n, zn in z.items():
+            di = live[n][1]
+            if zn % di if di else zn:
+                return False
+        return True
 
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
@@ -475,7 +450,7 @@ class FgAbGroup:
             yield self.zero()
             return
         # live canonical coordinates in lexicographic order
-        for coords in product(*(range(di) for _i, di, _col in self._live)):
+        for coords in product(*(range(di) for _i, di in self._live)):
             yield tuple(_combine(coords, self._rinv, self.ngens))
 
     def random_element(self, rng, bound=9):
@@ -527,12 +502,18 @@ def _present(group, ngens, rels):
     dvec = _diagonal(d, ngens)
     # only the columns with d_i != 1 can be non-zero modulo d_i
     live = [i for i, di in enumerate(dvec) if di != 1]
+    # through[k]: the live coordinates of generator k, as (n, right[k][i])
+    # pairs for the n-th live column i
+    through = [[] for _ in range(ngens)]
+    for n, i in enumerate(live):
+        for k, c in right[i].items():
+            through[k].append((n, c))
     setattr_ = object.__setattr__
     setattr_(group, "ngens", ngens)
     setattr_(group, "_rels", rels)
     setattr_(group, "_dvec", tuple(dvec))
-    setattr_(group, "_live", tuple((i, dvec[i], tuple(right[i].items()))
-                                   for i in live))
+    setattr_(group, "_live", tuple((i, dvec[i]) for i in live))
+    setattr_(group, "_through", tuple(map(tuple, through)))
     setattr_(group, "_rinv", tuple(tuple(rinv[i].items()) for i in live))
     setattr_(group, "_invariants", tuple(x for x in dvec if x != 1))
 
@@ -548,76 +529,79 @@ def _combine(coeffs, rows, width):
 
 
 class AbHom:
-    """Homomorphism between presented groups, as a matrix on generators.
+    """Homomorphism between presented groups, given on generators.
 
-    Rows are indexed by the generators of the source.  Construction
-    checks well-definedness: every relation of the source must map into
-    the relation lattice of the target.
+    Row s is the image of generator s of the source, stored sparse as
+    its non-zero ``(column, value)`` pairs; ``matrix`` writes the rows
+    out dense.  Construction checks well-definedness: every relation of
+    the source must map into the relation lattice of the target.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "_rows")
 
     def __init__(self, source, target, matrix):
-        matrix = tuple([tuple(map(int, row)) for row in matrix])
-        if len(matrix) != source.ngens:
+        rows = tuple(_sparse_rows(matrix, target.ngens,
+                                  "matrix has wrong number of columns"))
+        if len(rows) != source.ngens:
             raise ValueError("matrix has wrong number of rows")
-        for row in matrix:
-            if len(row) != target.ngens:
-                raise ValueError("matrix has wrong number of columns")
+        _check_relations(source, target, rows)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
-        _check_relations(source, target, map(_sparse, matrix))
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("AbHom instances are immutable")
 
+    @property
+    def matrix(self):
+        """The rows as a tuple of dense tuples of length target.ngens;
+        the map stores them sparse and builds this on each read."""
+        return _dense(self._rows, self.target.ngens)
+
     @classmethod
     def identity(cls, group):
-        n = group.ngens
-        return _hom(group, group, [unit_vector(n, i) for i in range(n)])
+        return _hom(group, group, _unit_rows(group.ngens))
 
     @classmethod
     def zero(cls, source, target):
-        return _hom(source, target, [(0,) * target.ngens] * source.ngens)
+        return _hom(source, target, ((),) * source.ngens)
 
     @classmethod
     def scalar(cls, group, c):
-        return _hom(group, group,
-                    [[c if i == j else 0 for j in range(group.ngens)]
-                     for i in range(group.ngens)])
+        return cls.identity(group).scale_by(c)
 
     def apply(self, x):
         if len(x) != self.source.ngens:
             raise ValueError("element has wrong length")
-        if self.source.ngens == 0:
-            return (0,) * self.target.ngens
-        return tuple(vecmat(x, self.matrix))
+        return tuple(_combine(x, self._rows, self.target.ngens))
 
     def compose(self, inner):
         """self after inner."""
         if inner.target is not self.source and \
                 inner.target.ngens != self.source.ngens:
             raise ValueError("homomorphisms do not compose")
-        if self.source.ngens == 0:
-            mat = [(0,) * self.target.ngens] * inner.source.ngens
-        else:
-            mat = matmul(inner.matrix, self.matrix)
-        return _hom(inner.source, self.target, mat)
+        outer = self._rows
+        rows = []
+        for row in inner._rows:
+            if len(row) == 1 and row[0][1] == 1:
+                rows.append(outer[row[0][0]])  # a unit row picks a row
+            else:
+                rows.append(tuple([e for e in _accumulate(row, outer).items()
+                                   if e[1]]))
+        return _hom(inner.source, self.target, rows)
 
     def add(self, other):
-        mat = [[a + b for a, b in zip(r1, r2)]
-               for r1, r2 in zip(self.matrix, other.matrix)]
-        return _hom(self.source, self.target, mat)
+        return _hom(self.source, self.target,
+                    map(_row_sum, self._rows, other._rows))
 
     def sub(self, other):
-        mat = [[a - b for a, b in zip(r1, r2)]
-               for r1, r2 in zip(self.matrix, other.matrix)]
-        return _hom(self.source, self.target, mat)
+        return _hom(self.source, self.target,
+                    map(_row_sum, self._rows, other._rows, repeat(-1)))
 
     def scale_by(self, c):
-        mat = [[c * a for a in row] for row in self.matrix]
-        return _hom(self.source, self.target, mat)
+        rows = [tuple([(k, c * x) for k, x in row]) if c else ()
+                for row in self._rows]
+        return _hom(self.source, self.target, rows)
 
     def power(self, j):
         """j-fold composite of an endomorphism, by repeated squaring."""
@@ -639,14 +623,14 @@ class AbHom:
         if self.source.ngens != other.source.ngens or \
                 self.target.ngens != other.target.ngens:
             return False
-        is_zero = self.target.is_zero
-        for r1, r2 in zip(self.matrix, other.matrix):
-            if r1 != r2 and not is_zero([a - b for a, b in zip(r1, r2)]):
+        is_zero = self.target._is_zero_row
+        for r1, r2 in zip(self._rows, other._rows):
+            if r1 != r2 and not is_zero(_row_sum(r1, r2, -1)):
                 return False
         return True
 
     def is_zero_hom(self):
-        return all(self.target.is_zero(row) for row in self.matrix)
+        return all(map(self.target._is_zero_row, self._rows))
 
     def to_json(self):
         return {"matrix": [list(r) for r in self.matrix]}
@@ -655,14 +639,24 @@ class AbHom:
         return "AbHom(%d -> %d gens)" % (self.source.ngens, self.target.ngens)
 
 
-def _hom(source, target, matrix):
-    """AbHom from a matrix of ints, of the right shape and well defined,
-    built without the public constructor's coercion and relation check."""
+def _hom(source, target, rows):
+    """AbHom from its sparse rows, tuples of non-zero ``(column, value)``
+    pairs of ints with columns below target.ngens, one per generator of
+    the source, that preserve relations: built without the public
+    constructor's coercion and relation check."""
     hom = object.__new__(AbHom)
     object.__setattr__(hom, "source", source)
     object.__setattr__(hom, "target", target)
-    object.__setattr__(hom, "matrix", tuple(map(tuple, matrix)))
+    object.__setattr__(hom, "_rows", tuple(rows))
     return hom
+
+
+def _checked_hom(source, target, rows):
+    """``_hom`` for sparse rows that may not preserve relations: raises
+    ValueError, as the public constructor does, when they do not."""
+    rows = tuple(rows)
+    _check_relations(source, target, rows)
+    return _hom(source, target, rows)
 
 
 def _check_relations(source, target, rows):
@@ -673,35 +667,17 @@ def _check_relations(source, target, rows):
 
     A relation maps to zero iff its combination of the images vanishes
     modulo d_i in every live column of the target, so the images are
-    taken in live coordinates once, through the live entries of each
-    row of the right transform, and each relation is read over its
-    non-zero entries only.
+    taken in live coordinates once, through ``target._through``, and
+    each relation is read over its non-zero entries only.
     """
-    live = target._live
-    if not source._rels or not live:
+    if not source._rels or not target._live:
         return
-    through = {}  # generator k of target -> [(live index, right[k][i])]
-    for n, (_i, _di, col) in enumerate(live):
-        for k, c in col:
-            through.setdefault(k, []).append((n, c))
-    images = []  # the non-zero live coordinates of each image
-    for row in rows:
-        z = {}
-        for k, x in row:
-            for n, c in through.get(k, ()):
-                z[n] = z.get(n, 0) + x * c
-        images.append(z)
-    moduli = [di for _i, di, _col in live]
+    images = [tuple(_accumulate(row, target._through).items())
+              for row in rows]
     for rel in source._rels:
-        z = {}
-        for s, x in rel:
-            for n, c in images[s].items():
-                z[n] = z.get(n, 0) + x * c
-        for n, zn in z.items():
-            di = moduli[n]
-            if zn % di if di else zn:
-                raise ValueError("map does not preserve relations: %r"
-                                 % (_dense((rel,), source.ngens)[0],))
+        if not target._vanishes(_accumulate(rel, images)):
+            raise ValueError("map does not preserve relations: %r"
+                             % (_dense((rel,), source.ngens)[0],))
 
 
 def _json_int(value, name, depth=0):
@@ -719,26 +695,23 @@ def _json_int(value, name, depth=0):
 # derived constructions
 
 
-def _left_kernel_lattice(rows, ncols):
-    """Basis of the v with v * m = 0, as dense rows, for the matrix m
-    with the given sparse rows and ncols columns."""
+def _left_kernel_lattice(rows, ncols, width):
+    """Basis of the v with v * m = 0 for the matrix m with the given
+    sparse rows and ncols columns, as sparse rows cut to their first
+    ``width`` entries."""
     if not rows:
         return []
     d, left, _right, _rinv = _smith(rows, ncols)
     rank = sum(1 for x in _diagonal(d, min(len(rows), ncols)) if x)
-    return list(_dense([row.items() for row in left[rank:]], len(rows)))
-
-
-def _stacked(hom):
-    """The rows of hom's matrix over the relation rows of its target,
-    sparse."""
-    return [_sparse(row) for row in hom.matrix] + list(hom.target._rels)
+    return [tuple([(k, x) for k, x in row.items() if k < width])
+            for row in left[rank:]]
 
 
 def _solution_lattice(hom):
-    """Basis of the lattice {x in Z^src : hom(x) = 0 in target}."""
-    basis = _left_kernel_lattice(_stacked(hom), hom.target.ngens)
-    return [row[:hom.source.ngens] for row in basis]
+    """Basis of the lattice {x in Z^src : hom(x) = 0 in target}, as
+    sparse rows."""
+    return _left_kernel_lattice(list(hom._rows) + list(hom.target._rels),
+                                hom.target.ngens, hom.source.ngens)
 
 
 def kernel(hom):
@@ -755,25 +728,27 @@ def kernel(hom):
         triv = FgAbGroup(0)
         return triv, _hom(triv, src, [])
     # relations among the kernel generators, taken inside the source group
-    stacked = [_sparse(row) for row in kgens] + list(src._rels)
-    basis = _left_kernel_lattice(stacked, src.ngens)
-    kgroup = _group(len(kgens), [_sparse(row[:len(kgens)]) for row in basis])
-    return kgroup, AbHom(kgroup, src, kgens)
+    kgroup = _group(len(kgens), _left_kernel_lattice(
+        kgens + list(src._rels), src.ngens, len(kgens)))
+    return kgroup, _hom(kgroup, src, kgens)
 
 
 def image(hom):
     """Image subgroup with its inclusion into the target."""
-    rels = _solution_lattice(hom)
-    igroup = _group(hom.source.ngens, map(_sparse, rels))
-    return igroup, AbHom(igroup, hom.target, hom.matrix)
+    igroup = _group(hom.source.ngens, _solution_lattice(hom))
+    return igroup, _hom(igroup, hom.target, hom._rows)
 
 
 def quotient(group, rows):
     """The group modulo extra relation rows, on the same generators,
     with the projection from ``group``; zero rows are not stored."""
-    extra = [row for row in _sparse_rows(rows, group.ngens) if row]
-    q = _group(group.ngens, group._rels + tuple(extra))
-    return q, _hom(group, q, identity_matrix(group.ngens))
+    return _quotient(group, _sparse_rows(rows, group.ngens))
+
+
+def _quotient(group, rows):
+    """``quotient`` by sparse rows of ints."""
+    q = _group(group.ngens, group._rels + tuple(row for row in rows if row))
+    return q, _hom(group, q, _unit_rows(group.ngens))
 
 
 def cokernel(hom):
@@ -784,7 +759,7 @@ def cokernel(hom):
     >>> c.invariant_factors
     (3,)
     """
-    return quotient(hom.target, hom.matrix)
+    return _quotient(hom.target, hom._rows)
 
 
 def quotient_by_endomorphism_family(group, endos):
@@ -793,11 +768,9 @@ def quotient_by_endomorphism_family(group, endos):
     for phi in endos:
         if phi.source is not group and phi.source.ngens != group.ngens:
             raise ValueError("endomorphism does not act on the group")
-        for i in range(group.ngens):
-            row = [-x for x in phi.matrix[i]]
-            row[i] += 1
-            rows.append(row)
-    return quotient(group, rows)
+        rows.extend(map(_row_sum, _unit_rows(group.ngens), phi._rows,
+                        repeat(-1)))
+    return _quotient(group, rows)
 
 
 def direct_sum(*groups):
@@ -814,14 +787,13 @@ def direct_sum(*groups):
     projections = []
     offset = 0
     for g in groups:
-        inj = [[0] * ngens for _ in range(g.ngens)]
-        prj = [[0] * g.ngens for _ in range(ngens)]
-        for i in range(g.ngens):
-            inj[i][offset + i] = 1
-            prj[offset + i][i] = 1
-        injections.append(_hom(g, total, inj))
-        projections.append(AbHom(total, g, prj))
-        offset += g.ngens
+        end = offset + g.ngens
+        injections.append(_hom(g, total, [((offset + i, 1),)
+                                          for i in range(g.ngens)]))
+        projections.append(_hom(total, g, ((),) * offset
+                                + _unit_rows(g.ngens)
+                                + ((),) * (ngens - end)))
+        offset = end
     return total, injections, projections
 
 
@@ -858,10 +830,7 @@ def tensor(a, b):
 
 
 def is_injective(hom):
-    for row in _solution_lattice(hom):
-        if not hom.source.is_zero(row):
-            return False
-    return True
+    return all(map(hom.source._is_zero_row, _solution_lattice(hom)))
 
 
 def is_surjective(hom):
@@ -876,7 +845,7 @@ def is_isomorphism(hom):
 def preimage(hom, y):
     """Some x with hom(x) = y in the target, or None."""
     src, tgt = hom.source, hom.target
-    stacked = _stacked(hom)
+    stacked = list(hom._rows) + list(tgt._rels)
     nrows = len(stacked)
     if nrows == 0:
         return src.zero() if tgt.is_zero(y) else None

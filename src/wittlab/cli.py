@@ -421,11 +421,17 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    # integers of any size are read and printed exactly here; callers in
+    # the same process keep Python's limit on int <-> str conversion
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    limit = sys.get_int_max_str_digits() if set_digits else None
     with warnings.catch_warnings():
         # a library warning becomes one JSON line, like an error
         warnings.showwarning = lambda message, *_: print(
             json.dumps({"warning": str(message)}), file=sys.stderr)
         try:
+            if set_digits:
+                set_digits(0)
             return args.func(args)
         except SystemExit as exc:
             return exc.code if exc.code is not None else 2
@@ -434,6 +440,9 @@ def main(argv=None):
                               % (type(exc).__name__, exc)}),
                   file=sys.stderr)
             return 1
+        finally:
+            if set_digits:
+                set_digits(limit)
 
 
 if __name__ == "__main__":

@@ -202,12 +202,12 @@ def hh0_via_nerve(R, p, k):
             prod = norm_tam.green.multiply(e, gi, gj)
             mu_rows.append(nmk.tr_map(e, d).apply(prod))
             # alpha cycles the last factor to the front and twists it
-            alpha_rows.append(box.pure_tensor(d, e, nmk.weyl[e].matrix[j],
+            alpha_rows.append(box.pure_tensor(d, e, nmk.weyl[e].apply(gj),
                                               gi))
         mu = AbHom(box.level(d), nmk.level(d), mu_rows)
         alpha = AbHom(box.level(d), box.level(d), alpha_rows)
         d1 = mu.compose(alpha)
-        levels[d] = abgroups.quotient(nmk.level(d), mu.sub(d1).matrix)[0]
+        levels[d] = abgroups.cokernel(mu.sub(d1))[0]
     quotient, _q = mackey.quotient(nmk, levels)
     return GreenFunctor(quotient, norm_tam.green.mul, norm_tam.green.one)
 

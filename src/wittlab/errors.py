@@ -39,7 +39,11 @@ class MackeyAxiomFailure(WittlabError):
 class TambaraAxiomFailure(WittlabError):
     """A Green or Tambara functor, or a map of Green functors, breaks
     one of its ring or norm axioms; the message names the axiom and
-    where it fails."""
+    where it fails.  A component of a map of Green functors that is not
+    a ring map also sets ``witness``: its level and the failing
+    generators with both sides of the equation."""
+
+    witness = None
 
 
 class InternalInvariantFailure(WittlabError):

@@ -15,12 +15,13 @@ transfer (Brauer) quotient, one case of ``quotient`` by added relations.
 """
 
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
+from itertools import accumulate
 from math import gcd
+from operator import floordiv, mul
 
 from . import abgroups
-from .abgroups import (AbHom, FgAbGroup, _hom, _json_int, _sparse,
-                       unit_vector)
+from .abgroups import AbHom, FgAbGroup, _json_int, _sparse, unit_vector
 from .errors import (ActionOrderInvalid, GroupMismatch,
                      InternalInvariantFailure, MackeyAxiomFailure,
                      NotASubgroup)
@@ -144,23 +145,25 @@ class MackeyFunctor:
         """Composite restriction along prime steps, d_to | d_from."""
         if d_from % d_to:
             raise NotASubgroup("%d does not divide %d" % (d_to, d_from))
-        out = AbHom.identity(self.level(d_from))
-        cur = d_from
-        for q in prime_steps(d_from // d_to):
-            out = self.res[(cur, cur // q)].compose(out)
-            cur //= q
-        return out
+        return self._along(self.res, accumulate(
+            prime_steps(d_from // d_to), floordiv, initial=d_from))
 
     def tr_map(self, d_from, d_to):
         """Composite transfer along prime steps, d_from | d_to."""
         if d_to % d_from:
             raise NotASubgroup("%d does not divide %d" % (d_from, d_to))
-        out = AbHom.identity(self.level(d_from))
-        cur = d_from
-        for q in prime_steps(d_to // d_from):
-            out = self.tr[(cur, cur * q)].compose(out)
-            cur *= q
-        return out
+        return self._along(self.tr, accumulate(
+            prime_steps(d_to // d_from), mul, initial=d_from))
+
+    def _along(self, maps, path):
+        """The composite of maps[(a, b)] over consecutive divisors a, b
+        of the path, first step first; the identity on a path of one."""
+        path = list(path)
+        level = self.level(path[0])
+        steps = [maps[pair] for pair in zip(path, path[1:])]
+        if not steps:
+            return AbHom.identity(level)
+        return reduce(lambda out, step: step.compose(out), steps)
 
     # -- invariant suite
 
@@ -325,20 +328,13 @@ def burnside(N):
     for (dsub, d) in group.covering_pairs():
         basis_d = divisors(d)
         basis_sub = divisors(dsub)
-        rmat = []
+        rrows = []
         for e in basis_d:
             g = gcd(e, dsub)
-            count = d * g // (e * dsub)
-            row = [0] * len(basis_sub)
-            row[basis_sub.index(g)] = count
-            rmat.append(row)
-        tmat = []
-        for e in basis_sub:
-            row = [0] * len(basis_d)
-            row[basis_d.index(e)] = 1
-            tmat.append(row)
-        res[(d, dsub)] = _hom(levels[d], levels[dsub], rmat)
-        tr[(dsub, d)] = _hom(levels[dsub], levels[d], tmat)
+            rrows.append(((basis_sub.index(g), d * g // (e * dsub)),))
+        trows = [((basis_d.index(e), 1),) for e in basis_sub]
+        res[(d, dsub)] = abgroups._hom(levels[d], levels[dsub], rrows)
+        tr[(dsub, d)] = abgroups._hom(levels[dsub], levels[d], trows)
     weyl = {d: AbHom.identity(levels[d]) for d in group.divisors}
     return MackeyFunctor(group, levels, res, tr, weyl)
 
@@ -456,21 +452,20 @@ class BoxProduct(MackeyFunctor):
         res = {}
         tr = {}
         weyl = {}
-        wl = {e: list(map(_sparse, left.weyl[e].matrix))
-              for e in group.divisors}
-        wr = {e: list(map(_sparse, right.weyl[e].matrix))
-              for e in group.divisors}
+        # the maps of the box are checked like the public constructor's
+        hom = abgroups._checked_hom
         for d in group.divisors:
-            rows = [self._expand(d, e, wl[e][i], wr[e][j])
+            rows = [tuple(self._expand(d, e, left.weyl[e]._rows[i],
+                                       right.weyl[e]._rows[j]).items())
                     for (e, i, j) in symbols[d]]
-            weyl[d] = _box_hom(levels[d], levels[d], rows)
-        memo = {}  # factor matrices shared by the _res_rows calls below
+            weyl[d] = hom(levels[d], levels[d], rows)
+        memo = {}  # factor images shared by the _res_rows calls below
         for (dsub, d) in group.covering_pairs():
-            trows = [{self._index(d, e, i, j): 1}
+            trows = [((self._index(d, e, i, j), 1),)
                      for (e, i, j) in symbols[dsub]]
-            tr[(dsub, d)] = _box_hom(levels[dsub], levels[d], trows)
-            res[(d, dsub)] = _box_hom(levels[d], levels[dsub],
-                                      self._res_rows(d, dsub, memo))
+            tr[(dsub, d)] = hom(levels[dsub], levels[d], trows)
+            res[(d, dsub)] = hom(levels[d], levels[dsub],
+                                 self._res_rows(d, dsub, memo))
         super().__init__(group, levels, res, tr, weyl)
 
     # symbol bookkeeping
@@ -505,8 +500,8 @@ class BoxProduct(MackeyFunctor):
                     rels.append(self._expand(d, e, ((i, 1),), rel))
             # Weyl stabilization by the generator of C_d/C_e
             if e != d:
-                wl = [_sparse(r) for r in left.weyl[e].power(N // d).matrix]
-                wr = [_sparse(r) for r in right.weyl[e].power(N // d).matrix]
+                wl = left.weyl[e].power(N // d)._rows
+                wr = right.weyl[e].power(N // d)._rows
                 for i in range(gl.ngens):
                     for j in range(gr.ngens):
                         row = self._expand(d, e, wl[i], wr[j])
@@ -516,23 +511,21 @@ class BoxProduct(MackeyFunctor):
             # sides lie in the disjoint symbol blocks of e and esub
             for q in sorted(set(prime_steps(e))):
                 esub = e // q
-                trl = left.tr[(esub, e)].matrix
-                trr = right.tr[(esub, e)].matrix
-                rsl = left.res[(e, esub)].matrix
-                rsr = right.res[(e, esub)].matrix
+                trl = left.tr[(esub, e)]._rows
+                trr = right.tr[(esub, e)]._rows
+                rsl = left.res[(e, esub)]._rows
+                rsr = right.res[(e, esub)]._rows
                 for i in range(left.level(esub).ngens):
                     for j in range(gr.ngens):
-                        row = self._expand(d, e, _sparse(trl[i]),
-                                           ((j, 1),))
+                        row = self._expand(d, e, trl[i], ((j, 1),))
                         for k, x in self._expand(d, esub, ((i, 1),),
-                                                 _sparse(rsr[j])).items():
+                                                 rsr[j]).items():
                             row[k] = -x
                         rels.append(row)
                 for i in range(gl.ngens):
                     for j in range(right.level(esub).ngens):
-                        row = self._expand(d, e, ((i, 1),),
-                                           _sparse(trr[j]))
-                        for k, x in self._expand(d, esub, _sparse(rsl[i]),
+                        row = self._expand(d, e, ((i, 1),), trr[j])
+                        for k, x in self._expand(d, esub, rsl[i],
                                                  ((j, 1),)).items():
                             row[k] = -x
                         rels.append(row)
@@ -543,9 +536,8 @@ class BoxProduct(MackeyFunctor):
         sparse row per symbol of level d.  Terms of the expansion with
         the same images are expanded once, times their multiplicity.
 
-        ``memo`` caches the factors' restriction and Weyl-power matrices
-        and the images below for the rows of one construction; the
-        factors must not change while it is in use.
+        ``memo`` caches the images below for the rows of one
+        construction; the factors must not change while it is in use.
         """
         N = self.group.N
         rows = []
@@ -561,38 +553,25 @@ class BoxProduct(MackeyFunctor):
                         for k, x in self._expand(dsub, g, xs[i],
                                                  ys[j]).items():
                             _add_entry(row, k, m * x)
-                    rows.append(row)
+                    rows.append(tuple(row.items()))
         return rows
 
     def _res_images(self, e, g, shift, memo):
         """The images of the generators of both factors at level e under
-        res to level g and then the Weyl power ``shift``, as non-zero
-        pairs: (left images, right images)."""
-        key = ("images", e, g, shift)
+        res to level g and then the Weyl power ``shift``, as sparse rows:
+        (left images, right images)."""
+        key = (e, g, shift)
         if key not in memo:
-            if ("res", e, g) not in memo:
-                memo[("res", e, g)] = [factor.res_map(e, g).matrix
-                                       for factor in self.factors]
-            if ("weyl", g, shift) not in memo:
-                memo[("weyl", g, shift)] = [factor.weyl[g].power(shift).matrix
-                                            for factor in self.factors]
-            memo[key] = tuple(
-                tuple(_sparse(abgroups.vecmat(row, weyl)) for row in res)
-                for res, weyl in zip(memo[("res", e, g)],
-                                     memo[("weyl", g, shift)]))
+            memo[key] = tuple(factor.weyl[g].power(shift).compose(
+                factor.res_map(e, g))._rows for factor in self.factors)
         return memo[key]
 
     def pure_tensor(self, d, e, xvec, yvec):
         """Element g_e(x (x) y) of level d, for x, y at level e | d."""
-        base = self._offsets[d][e]
-        width = self.factors[1].level(e).ngens
-        ys = _sparse(yvec)
-        row = [0] * len(self.symbols[d])
-        for i, x in enumerate(xvec):
-            if x:
-                for j, y in ys:
-                    row[base + i * width + j] = x * y
-        return tuple(row)
+        out = [0] * len(self.symbols[d])
+        for k, x in self._expand(d, e, _sparse(xvec), _sparse(yvec)).items():
+            out[k] = x
+        return tuple(out)
 
 
 def _add_entry(row, k, x):
@@ -604,14 +583,6 @@ def _add_entry(row, k, x):
         del row[k]
 
 
-def _box_hom(source, target, rows):
-    """The AbHom of a box product with the given sparse rows, checked
-    like the public constructor but without its coercion."""
-    abgroups._check_relations(source, target, [r.items() for r in rows])
-    return _hom(source, target, abgroups._dense(
-        [r.items() for r in rows], target.ngens))
-
-
 def box_product(left, right):
     return BoxProduct(left, right)
 
@@ -619,15 +590,16 @@ def box_product(left, right):
 def box_unit_map(box, module):
     """Canonical map burnside(N) [] M -> M for a BoxProduct with the
     Burnside functor on the left; a levelwise isomorphism."""
+    @cache
+    def images(e, f, d):
+        # the orbit [C_e/C_f] acts by tr res through level f
+        return module.tr_map(f, d).compose(module.res_map(e, f))._rows
+
     comps = {}
     for d in box.group.divisors:
-        rows = []
-        for (e, i, j) in box.symbols[d]:
-            f = divisors(e)[i]  # the orbit [C_e/C_f]
-            y = unit_vector(module.level(e).ngens, j)
-            img = module.tr_map(f, d).apply(module.res_map(e, f).apply(y))
-            rows.append(img)
-        comps[d] = AbHom(box.level(d), module.level(d), rows)
+        rows = [images(e, divisors(e)[i], d)[j]
+                for (e, i, j) in box.symbols[d]]
+        comps[d] = abgroups._checked_hom(box.level(d), module.level(d), rows)
     return MackeyMap(box, module, comps)
 
 
@@ -635,12 +607,10 @@ def box_symmetry_map(box, flipped):
     """Canonical isomorphism M [] N -> N [] M on symbols."""
     comps = {}
     for d in box.group.divisors:
-        rows = []
-        for (e, i, j) in box.symbols[d]:
-            row = [0] * len(flipped.symbols[d])
-            row[flipped._index(d, e, j, i)] = 1
-            rows.append(row)
-        comps[d] = AbHom(box.level(d), flipped.level(d), rows)
+        rows = [((flipped._index(d, e, j, i), 1),)
+                for (e, i, j) in box.symbols[d]]
+        comps[d] = abgroups._checked_hom(box.level(d), flipped.level(d),
+                                         rows)
     return MackeyMap(box, flipped, comps)
 
 
@@ -652,22 +622,19 @@ def box_associativity_map(left_assoc, right_assoc):
     """
     mn = left_assoc.factors[0]       # BoxProduct of (M, N)
     p_fun = left_assoc.factors[1]
-    m_fun = right_assoc.factors[0]
     np_box = right_assoc.factors[1]  # BoxProduct of (N, P)
-    n_fun = np_box.factors[0]
     comps = {}
     for d in left_assoc.group.divisors:
         rows = []
         for (e, u, l) in left_assoc.symbols[d]:
             # u indexes a symbol g_f(x_i (x) y_j) of (M [] N).level(e)
             (f, i, j) = mn.symbols[e][u]
-            resp = p_fun.res_map(e, f).matrix[l]
-            inner = np_box.pure_tensor(f, f,
-                                       unit_vector(n_fun.level(f).ngens, j),
-                                       resp)
-            xvec = unit_vector(m_fun.level(f).ngens, i)
-            rows.append(right_assoc.pure_tensor(d, f, xvec, inner))
-        comps[d] = AbHom(left_assoc.level(d), right_assoc.level(d), rows)
+            inner = np_box._expand(f, f, ((j, 1),),
+                                   p_fun.res_map(e, f)._rows[l])
+            rows.append(tuple(right_assoc._expand(
+                d, f, ((i, 1),), inner.items()).items()))
+        comps[d] = abgroups._checked_hom(left_assoc.level(d),
+                                         right_assoc.level(d), rows)
     return MackeyMap(left_assoc, right_assoc, comps)
 
 
@@ -709,14 +676,14 @@ def quotient(M, levels):
     ``M.level(d)`` on the same generators.  Returns (functor, projection);
     raises ValueError when res, tr or weyl does not descend."""
     def descend(src, tgt, hom):
-        return AbHom(levels[src], levels[tgt], hom.matrix)
+        return abgroups._checked_hom(levels[src], levels[tgt], hom._rows)
 
     weyl = {d: descend(d, d, hom) for d, hom in M.weyl.items()}
     res = {key: descend(*key, hom) for key, hom in M.res.items()}
     tr = {key: descend(*key, hom) for key, hom in M.tr.items()}
     Q = MackeyFunctor(M.group, levels, res, tr, weyl)
-    proj = MackeyMap(M, Q, {d: _hom(M.level(d), q,
-                                    abgroups.identity_matrix(q.ngens))
+    proj = MackeyMap(M, Q, {d: abgroups._hom(M.level(d), q,
+                                             abgroups._unit_rows(q.ngens))
                             for d, q in levels.items()})
     return Q, proj
 
@@ -736,8 +703,8 @@ def geometric_fixed_points(M, m):
     levels = {}
     for d in source.group.divisors:
         extra = [row for e in divisors(d * m) if e % m
-                 for row in M.tr_map(e, d * m).matrix]
-        levels[d] = abgroups.quotient(source.level(d), extra)[0]
+                 for row in M.tr_map(e, d * m)._rows]
+        levels[d] = abgroups._quotient(source.level(d), extra)[0]
     return quotient(source, levels)
 
 

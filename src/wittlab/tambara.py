@@ -234,17 +234,24 @@ class GreenMap(MackeyMap):
         self.source_green = source
         self.target_green = target
         super().__init__(source.mackey, target.mackey, components)
+
+    def validate(self):
+        """The levelwise ring maps first, then the Mackey laws."""
         self.validate_ring_maps()
+        return super().validate()
 
     def validate_ring_maps(self):
         src, tgt = self.source_green, self.target_green
         for d in src.mackey.group.divisors:
             fault = _ring_map_fault(self.components[d], src.ring(d),
                                     tgt.ring(d))
-            _require(fault is None or fault["generators"],
-                     TambaraAxiomFailure, "unit not preserved at level %d", d)
-            _require(fault is None, TambaraAxiomFailure,
-                     "component at level %d is not a ring map", d)
+            if fault is not None:
+                exc = TambaraAxiomFailure(
+                    ("component at level %d is not a ring map"
+                     if fault["generators"]
+                     else "unit not preserved at level %d") % d)
+                exc.witness = dict(level=d, **fault)
+                raise exc
         return True
 
 
@@ -259,8 +266,9 @@ def _ring_map_fault(f, source, target):
     if not tgt.equal(image, target_one):
         return {"generators": [], "lhs": image, "rhs": target_one}
     n = f.source.ngens
-    for i, fi in enumerate(f.matrix):
-        for j, fj in enumerate(f.matrix):
+    images = f.matrix
+    for i, fi in enumerate(images):
+        for j, fj in enumerate(images):
             lhs = f.apply(multiply(unit_vector(n, i), unit_vector(n, j)))
             rhs = target_multiply(fi, fj)
             if not tgt.equal(lhs, rhs):
@@ -283,14 +291,15 @@ def _sample_pool(level, rng, samples):
 
 
 def _marks_table(d):
-    """Rows = basis orbits [C_d/C_e], columns = subgroups C_j; the entry
-    counts C_j-fixed points of C_d/C_e, i.e. d/e when j | e else 0."""
+    """Sparse rows = basis orbits [C_d/C_e], columns = subgroups C_j; the
+    entry counts C_j-fixed points of C_d/C_e, i.e. d/e when j | e."""
     divs = divisors(d)
-    return [[(d // e if e % j == 0 else 0) for j in divs] for e in divs]
+    return [tuple((c, d // e) for c, j in enumerate(divs) if e % j == 0)
+            for e in divs]
 
 
 def burnside_to_marks(d, x):
-    return tuple(abgroups.vecmat(x, _marks_table(d)))
+    return tuple(abgroups._combine(x, _marks_table(d), len(divisors(d))))
 
 
 def burnside_from_marks(d, marks):
@@ -512,10 +521,11 @@ def fixed_point_tambara(ring, N):
     one = {}
     for d in group.divisors:
         incl = inclusions[d]
+        gens = incl.matrix
         mul[d] = tuple(
             tuple(_factor_through_inclusion(ring.multiply(x, y), incl)
-                  for y in incl.matrix)
-            for x in incl.matrix)
+                  for y in gens)
+            for x in gens)
         one[d] = _factor_through_inclusion(ring.one, incl)
     green = GreenFunctor(mk, mul, one)
     norms = {}

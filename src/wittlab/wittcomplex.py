@@ -11,7 +11,8 @@ finite carriers for the non-additive lift rule):
   * lambda r = r lambda  and  d r = r d,
   * res tr = [L:H]  and  res d tr = d  for all comparable subgroups,
   * F d lambda([x]_k) = lambda([x]_{k-1})^{p-1} d lambda([x]_{k-1}),
-  * lambda is a ring map at every level.
+  * lambda is a map of Green functors (a ring map at every level that
+    commutes with res, tr and the Weyl action).
 
 Both checkers share one implementation of d^2 = 0, Leibniz and the lift
 rule, over the graded ring of a tower level or of a classical B_s, and
@@ -33,8 +34,8 @@ from .eqwitt import (equivariant_witt, multiplicative_lift,
                      multiplicative_order, restriction_r)
 from .mackey import MackeyFunctor, divisors
 from .rings import is_prime
-from .tambara import (GreenFunctor, GreenMap, _ring_map_fault,
-                      present_witt_ring, restrict_green)
+from .tambara import (GreenFunctor, GreenMap, present_witt_ring,
+                      restrict_green)
 from .witt import WittRing
 
 TRIVIAL_GROUP = FgAbGroup(0)
@@ -221,7 +222,8 @@ def degree_zero_family(R, p, S):
             for d in divisors(p ** smaller * n):
                 a = witt_tower[s].green.level(d)
                 b = witt_tower[smaller].green.level(d)
-                comps[d] = AbHom(a, b, abgroups.identity_matrix(a.ngens))
+                comps[d] = abgroups._checked_hom(
+                    a, b, abgroups._unit_rows(a.ngens))
             compat[(s, smaller)] = {0: comps}
     return WittComplexData(R, p, S, 0, towers, witt_tower,
                            r_maps=r_maps, lam=lam, compat=compat,
@@ -541,14 +543,15 @@ def _axiom_lift_rule(data):
 
 
 def _axiom_lambda_ring_map(data):
+    """lambda is a map of Green functors, under the law's old name."""
     name = "lambda is a ring map"
     for s, tower in enumerate(data.towers):
-        for d in tower.group.divisors:
-            fault = _ring_map_fault(data.lam[s][d],
-                                    data.witt_tower[s].green.ring(d),
-                                    tower.green0.ring(d))
-            if fault is not None:
-                return _fail(name, tower=s, level=d, **fault)
+        try:
+            GreenMap(data.witt_tower[s].green, tower.green0, data.lam[s])
+        except MackeyAxiomFailure as exc:
+            return _fail(name, tower=s, reason=str(exc))
+        except TambaraAxiomFailure as exc:
+            return _fail(name, tower=s, **exc.witness)
     return AxiomResult(name, "PASS")
 
 

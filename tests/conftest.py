@@ -1,11 +1,16 @@
-"""Every Smith normal form computed in the test session is certified.
+"""Every Smith normal form and every map the library builds without
+the public checks is certified in the test session.
 
-The session fixture below wraps ``abgroups._smith``: each call runs the
-elimination with the left transform, checks the result against the
-input, and hands back what the caller asked for.  The unwrapped
-function stays reachable as ``abgroups._smith.__wrapped__``, so that a
-test can run the elimination without the left transform and compare it
-with a certified run.
+The session fixture ``certified_smith`` wraps ``abgroups._smith``: each
+call runs the elimination with the left transform, checks the result
+against the input, and hands back what the caller asked for.  The
+unwrapped function stays reachable as ``abgroups._smith.__wrapped__``,
+so that a test can run the elimination without the left transform and
+compare it with a certified run.
+
+The session fixture ``certified_homs`` wraps ``abgroups._hom``, which
+builds an ``AbHom`` from sparse rows with no relation check: each call
+checks the shape of the rows and that the map preserves relations.
 """
 
 import pytest
@@ -83,3 +88,47 @@ def certified_smith():
         yield
     finally:
         abgroups._smith = smith
+
+
+def hom_rows_fault(source, target, rows):
+    """Why ``rows`` are not the sparse rows of a map from ``source`` to
+    ``target``: one per source generator, each a tuple of ``(column,
+    value)`` pairs with distinct columns below target.ngens and non-zero
+    int values; or None."""
+    if len(rows) != source.ngens:
+        return "%d rows for %d generators" % (len(rows), source.ngens)
+    for s, row in enumerate(rows):
+        if type(row) is not tuple:
+            return "row %d is a %s, not a tuple" % (s, type(row).__name__)
+        columns = [k for k, _x in row]
+        if len(set(columns)) != len(columns):
+            return "row %d repeats a column" % s
+        for k, x in row:
+            if not 0 <= k < target.ngens:
+                return "row %d has column %d of %d" % (s, k, target.ngens)
+            if type(x) is not int or not x:
+                return "row %d holds %r at column %d" % (s, x, k)
+    return None
+
+
+@pytest.fixture(scope="session", autouse=True)
+def certified_homs():
+    hom = abgroups._hom
+
+    def certified(source, target, rows):
+        rows = tuple(rows)
+        fault = hom_rows_fault(source, target, rows)
+        if fault is not None:
+            raise AssertionError("malformed library map: " + fault)
+        try:
+            abgroups._check_relations(source, target, rows)
+        except ValueError as exc:
+            raise AssertionError("ill-defined library map: %s" % exc)
+        return hom(source, target, rows)
+
+    certified.__wrapped__ = hom
+    abgroups._hom = certified
+    try:
+        yield
+    finally:
+        abgroups._hom = hom

@@ -8,14 +8,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from dense import determinant, identity_matrix, matmul, vecmat
 
 from wittlab import abgroups
-from wittlab.abgroups import (AbHom, FgAbGroup, cokernel,
-                              determinant, direct_sum, identity_matrix,
-                              image, is_isomorphism, kernel, matmul,
-                              preimage, quotient,
-                              quotient_by_endomorphism_family,
-                              smith_normal_form, tensor, vecmat)
+from wittlab.abgroups import (AbHom, FgAbGroup, cokernel, direct_sum,
+                              image, is_isomorphism, kernel, preimage,
+                              quotient, quotient_by_endomorphism_family,
+                              smith_normal_form, tensor)
 from wittlab.mackey import box_product, burnside
 
 
@@ -448,6 +447,106 @@ class TestHoms:
         x = preimage(h, y)
         assert x is not None and z2.equal(h.apply(x), y)
         assert preimage(AbHom(z, z, [[2, 0], [0, 2]]), (1, 0)) is None
+
+
+factor_lists = st.lists(st.sampled_from((0, 1, 1, 2, 3, 4, 6, 9)),
+                        max_size=4)
+
+
+def _diagonal_group(draw, factors):
+    """Z/f_1 + ... on one generator per factor (0 free, 1 trivial), its
+    relation rows the non-zero diagonal ones followed by random integer
+    combinations of them, so that rows need not be diagonal."""
+    diag = [[f if j == i else 0 for j in range(len(factors))]
+            for i, f in enumerate(factors) if f]
+    rows = list(diag)
+    for coeffs in draw(st.lists(st.lists(st.integers(-2, 2),
+                                         min_size=len(diag),
+                                         max_size=len(diag)), max_size=2)):
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, diag))
+                     for j in range(len(factors))])
+    return FgAbGroup(len(factors), rows)
+
+
+def _random_map(draw, fa, fb):
+    """A random well-defined matrix Z/fa_i + ... -> Z/fb_j + ...: entry
+    (i, j) is a multiple of fb_j / gcd(fa_i, fb_j), and 0 from torsion
+    to Z; with whole rows of zeros now and then.  Units and zeros are
+    drawn most, so that rows with a single entry +-1 are common."""
+    entries = st.sampled_from((0, 0, 1, -1, 1, -1, 2, -3))
+    matrix = []
+    for fi in fa:
+        if draw(st.integers(0, 4)) == 0:
+            matrix.append([0] * len(fb))
+            continue
+        matrix.append([draw(entries) * (fj // gcd(fi, fj)) if fj
+                       else (draw(entries) if not fi else 0)
+                       for fj in fb])
+    return matrix
+
+
+def _mod_relations(draw, matrix, group):
+    """The matrix with random multiples of the group's relations added
+    to its rows: the same map, other rows."""
+    out = []
+    for row in matrix:
+        row = list(row)
+        for rel in group.relations:
+            c = draw(st.integers(-2, 2))
+            row = [a + c * b for a, b in zip(row, rel)]
+        out.append(row)
+    return out
+
+
+class TestSparseAgainstDense:
+    """Every operation on the sparse rows of ``AbHom`` against the dense
+    matrices of ``dense.py``, on random groups with free, torsion and
+    trivial summands, zero-generator groups and all-zero rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_lists, factor_lists, factor_lists, st.data())
+    def test_operations_match_dense_reference(self, fa, fb, fc, data):
+        draw = data.draw
+        a, b, c = (_diagonal_group(draw, f) for f in (fa, fb, fc))
+        mf = _random_map(draw, fa, fb)
+        mf2 = draw(st.sampled_from((
+            _random_map(draw, fa, fb), _mod_relations(draw, mf, b), mf)))
+        mg = _random_map(draw, fb, fc)
+        me = _random_map(draw, fa, fa)
+        f, f2, g, e = (AbHom(s, t, m) for s, t, m in (
+            (a, b, mf), (a, b, mf2), (b, c, mg), (a, a, me)))
+        scale = draw(st.integers(-3, 3))
+        j = draw(st.integers(0, 5))
+        power = identity_matrix(len(fa))
+        for _ in range(j):
+            power = matmul(power, me)
+        # a product through zero generators has no rows to give its width
+        cases = [
+            (g.compose(f), matmul(mf, mg) if fb else [[0] * len(fc)
+                                                      for _ in fa]),
+            (f.add(f2), [[x + y for x, y in zip(r1, r2)]
+                         for r1, r2 in zip(mf, mf2)]),
+            (f.sub(f2), [[x - y for x, y in zip(r1, r2)]
+                         for r1, r2 in zip(mf, mf2)]),
+            (f.scale_by(scale), [[scale * x for x in row] for row in mf]),
+            (e.power(j), power),
+            (AbHom.identity(a), identity_matrix(len(fa))),
+            (AbHom.zero(a, b), [[0] * len(fb) for _ in fa]),
+            (AbHom.scalar(a, scale), [[scale if i == k else 0
+                                       for k in range(len(fa))]
+                                      for i in range(len(fa))]),
+        ]
+        for got, want in cases:
+            assert got.matrix == tuple(map(tuple, want))
+            again = AbHom(got.source, got.target, got.matrix)
+            assert again.to_json() == got.to_json()
+        x = tuple(draw(st.lists(st.integers(-5, 5), min_size=len(fa),
+                                max_size=len(fa))))
+        assert f.apply(x) == (tuple(vecmat(x, mf)) if fa
+                              else (0,) * len(fb))
+        assert f.equal(f2) == all(b.is_zero([p - q for p, q in zip(r1, r2)])
+                                  for r1, r2 in zip(mf, mf2))
+        assert f.is_zero_hom() == all(map(b.is_zero, mf))
 
 
 class TestCokernelKernel:

@@ -12,8 +12,9 @@ import warnings
 from itertools import product as iproduct
 
 import pytest
+from dense import identity_matrix
 
-from wittlab.abgroups import AbHom, identity_matrix
+from wittlab.abgroups import AbHom
 from wittlab.eqwitt import (check_lift_power, check_r_lift_identity,
                             equivariant_witt, multiplicative_lift,
                             nerve_comparison, restriction_r)

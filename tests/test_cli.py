@@ -1,5 +1,6 @@
 """CLI tests: documented flows, exit codes, deterministic output."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -23,6 +24,25 @@ def run(capsys, args):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def digit_limit():
+    """Python's limit on int <-> str conversion, None where it has none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else None
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Lift the limit on int <-> str conversion inside the block."""
+    limit = digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestClassical:
@@ -68,6 +88,34 @@ class TestClassical:
         longer = WittRing(2, 41, ring)
         assert longer.frobenius(longer.verschiebung(x)) == \
             wr.scalar_mul(2, x)
+
+    @pytest.mark.parametrize("p, k, op, x, y", [
+        (7, 6, "mul", "2,3,4,5,6,7", "1,1,1,1,1,1"),
+        (3, 9, "add", ",".join(["9"] * 9), ",".join(["9"] * 9))])
+    def test_integers_past_the_conversion_limit(self, capsys, p, k, op, x,
+                                                y):
+        # the answer has integers of more than 4300 digits, which Python
+        # does not print by default: main lifts the limit while it runs
+        # and restores it on return
+        limit = digit_limit()
+        code, out, err = run(capsys, ["classical", "--p", str(p), "--k",
+                                      str(k), "--ring", "Z", "--op", op,
+                                      "--x", x, "--y", y])
+        assert (code, err) == (0, "")
+        assert digit_limit() == limit
+
+        def ghost(coords):
+            return [sum(p ** i * coords[i] ** p ** (n - i)
+                        for i in range(n + 1)) for n in range(k)]
+
+        with unlimited_digits():
+            data = json.loads(out)
+        pair = zip(ghost([int(c) for c in x.split(",")]),
+                   ghost([int(c) for c in y.split(",")]))
+        want = [a * b if op == "mul" else a + b for a, b in pair]
+        assert max(map(abs, want)) > 10 ** 4300
+        assert data["ghost"] == want
+        assert ghost(data["coords"]) == want
 
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run(capsys, ["classical", "--p", "3"])
@@ -123,6 +171,20 @@ class TestMackeyAndBox:
         data = json.loads(out)
         assert data["N"] == 6
         assert data["levels"]["6"]["invariant_factors"] == [0, 0, 0, 0]
+
+    def test_show_reads_a_long_invariant_factor(self, capsys, tmp_path):
+        # 4,401 digits, past Python's default limit on int <-> str
+        digits = "1" + "0" * 4400
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"N": 1, "levels": {"1": {"invariant_factors": [%s]}}, '
+            '"res": {}, "tr": {}, "weyl": {"1": {"matrix": [[1]]}}}'
+            % digits)
+        code, out, err = run(capsys, ["mackey", "show", "--file", str(path)])
+        assert (code, err) == (0, "")
+        with unlimited_digits():
+            data = json.loads(out)
+        assert data["levels"]["1"]["invariant_factors"] == [10 ** 4400]
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, ["mackey", "show", "--file",
@@ -506,6 +568,26 @@ class TestCheck:
             "axiom": "lambda is a ring map", "status": "FAIL",
             "witness": {"tower": 1, "level": 1, "generators": [],
                         "lhs": lhs, "rhs": [1]}}]
+
+    def test_lambda_that_is_not_a_green_map_fails(self, capsys, tmp_path):
+        # over Z at n = 2, [[1, 0], [0, 0]] at levels 3 and 6 of tower 1
+        # sends V(1) to 0: a ring endomorphism of W_2(Z) at each level
+        # that keeps lambda r = r lambda, as r(V(1)) = 0; but res from 3
+        # to 1 sends V(1) to 3, so lambda does not commute with res
+        data = family_to_json(degree_zero_family(
+            constant_tambara(parse_ring("Z"), 2), 3, 1))
+        for d in ("3", "6"):
+            _edited(data, ["lambda", "1", d, "matrix"], [[1, 0], [0, 0]])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, CHECK_FILE + [str(path)])
+        assert code == 1
+        failing = [a for a in json.loads(out)["axioms"]
+                   if a["status"] == "FAIL"]
+        assert failing == [{
+            "axiom": "lambda is a ring map", "status": "FAIL",
+            "witness": {"tower": 1, "reason": "component does not commute "
+                                              "with res at (1, 3)"}}]
 
     def test_warnings_are_json_lines(self, capsys, tmp_path):
         path = tmp_path / "burnside.json"

@@ -6,9 +6,10 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from dense import identity_matrix
 
 from wittlab import eqwitt
-from wittlab.abgroups import AbHom, FgAbGroup, identity_matrix, is_isomorphism
+from wittlab.abgroups import AbHom, FgAbGroup, is_isomorphism
 from wittlab.cli import family_to_json
 from wittlab.errors import LengthTooShort, NotApplicable
 from wittlab.eqwitt import (check_lift_power, check_r_lift_identity,

@@ -4,9 +4,10 @@ import time
 from math import gcd
 
 import pytest
+from dense import identity_matrix
 
-from wittlab.abgroups import (AbHom, FgAbGroup, identity_matrix,
-                              smith_normal_form, tensor, unit_vector)
+from wittlab.abgroups import (AbHom, FgAbGroup, smith_normal_form, tensor,
+                              unit_vector)
 from wittlab.eqwitt import equivariant_witt
 from wittlab.errors import (ActionOrderInvalid, GroupMismatch,
                             MackeyAxiomFailure, NotASubgroup)
