@@ -254,11 +254,17 @@ def family_to_json(data):
     return out
 
 
-def _hom_table(name, table, keys, source, target):
+def _hom_table(name, table, group, source, target):
     """{d: AbHom from source(d) to target(d)} read from a
-    ``{"<d>": {"matrix": ...}}`` table at the given keys.  A malformed
-    matrix, or one that does not preserve relations, is MalformedData
-    naming the table and the key."""
+    ``{"<d>": {"matrix": ...}}`` table keyed by exactly the divisors of
+    ``group``.  A missing or unknown key, a malformed matrix, or one that
+    does not preserve relations, is MalformedData naming the table and
+    the key."""
+    keys = [str(d) for d in group.divisors]
+    for key in list(table) + keys:
+        if (key in keys) != (key in table):
+            raise MalformedData("%s: %s key %r" % (
+                name, "missing" if key in keys else "unknown", key))
     homs = {}
     for key in keys:
         d = int(key)
@@ -298,24 +304,28 @@ def witt_complex_from_json(obj):
     S = _json_int(obj["S"], "S")
     if _json_int(obj.get("D", 0), "D") != 0:
         raise WittlabError("only degree-zero families load from JSON")
+    if _json_int(obj.get("n", base.group.N), "n") != base.group.N:
+        raise MalformedData("n = %r is not base N = %d"
+                            % (obj["n"], base.group.N))
     if "E" not in obj:
         return wittcomplex.degree_zero_family(base, p, S)
     witt_tower = [eqwitt.equivariant_witt(base, p, s) for s in range(S + 1)]
     towers = [wittcomplex.GradedTower(tambara.green_from_json(
         obj["E"][str(s)]["degrees"]["0"])) for s in range(S + 1)]
     lam = {s: _hom_table("lambda %d" % s, obj["lambda"][str(s)],
-                         [str(d) for d in towers[s].group.divisors],
-                         witt_tower[s].green.level,
+                         towers[s].group, witt_tower[s].green.level,
                          partial(towers[s].level, 0))
            for s in range(S + 1)}
     nu = eqwitt.multiplicative_order(p, base.group.N)
+    for s in range(nu, S + 1):
+        eqwitt._restriction_r(witt_tower[s], witt_tower[s - nu])
     r_maps = {}
     for key, per_degree in obj.get("r", {}).items():
         s = int(key)
         _check_towers("r", key, S, s, s - nu)
         maps = _degree_zero("r", key, per_degree)
         r_maps[s] = {0: _hom_table(
-            "r %s" % key, maps, maps,
+            "r %s" % key, maps, towers[s - nu].group,
             lambda d: towers[s].level(0, d * p ** nu),
             partial(towers[s - nu].level, 0))}
     compat = {}
@@ -324,13 +334,15 @@ def witt_complex_from_json(obj):
         _check_towers("compat", key, S, s, smaller)
         maps = _degree_zero("compat", key, per_degree)
         compat[(s, smaller)] = {0: _hom_table(
-            "compat %s" % key, maps, maps, partial(towers[s].level, 0),
-            partial(towers[smaller].level, 0))}
+            "compat %s" % key, maps, towers[smaller].group,
+            partial(towers[s].level, 0), partial(towers[smaller].level, 0))}
     d_maps = {}
     for key, maps in obj.get("d", {}).items():
         s, q = (int(x) for x in key.split(","))
         _check_towers("d", key, S, s)
-        d_maps[(s, q)] = _hom_table("d %s" % key, maps, maps,
+        if q != 0:
+            raise MalformedData("d key %r: degree %d is not 0" % (key, q))
+        d_maps[(s, q)] = _hom_table("d %s" % key, maps, towers[s].group,
                                     partial(towers[s].level, q),
                                     partial(towers[s].level, q + 1))
     return wittcomplex.WittComplexData(

@@ -108,8 +108,13 @@ def restriction_r(W):
         raise LengthTooShort("k = %d is below nu = %d" % (W.k, W.nu))
     if W._r is not None:
         return W._r
+    return _restriction_r(W, equivariant_witt(W.base, W.p, W.k - W.nu))
+
+
+def _restriction_r(W, target):
+    """restriction_r(W) into a ``target`` that the caller holds, kept on
+    ``W`` for later restriction_r calls."""
     pnu = W.p ** W.nu
-    target = equivariant_witt(W.base, W.p, W.k - W.nu)
     phi, proj = mackey.geometric_fixed_points(W.green.mackey, pnu)
     comps = {}
     for d in phi.group.divisors:

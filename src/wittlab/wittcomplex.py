@@ -9,7 +9,10 @@ finite carriers for the non-additive lift rule):
   * the compatibility witnesses are Green isomorphisms commuting with d,
   * d^2 = 0 and the Leibniz rule,
   * lambda r = r lambda  and  d r = r d,
-  * res tr = [L:H]  and  res d tr = d  for all comparable subgroups,
+  * res tr = [L:H]  and  res d tr = d  for all comparable subgroups
+    (not covering pairs only, as in ``MackeyFunctor.validate``: towers
+    read from a file are never validated as Mackey functors, so their
+    composites along different prime paths may differ),
   * F d lambda([x]_k) = lambda([x]_{k-1})^{p-1} d lambda([x]_{k-1}),
   * lambda is a map of Green functors (a ring map at every level that
     commutes with res, tr and the Weyl action).
@@ -30,7 +33,7 @@ from . import abgroups, mackey
 from .abgroups import AbHom, FgAbGroup, unit_vector
 from .errors import (EvenPrime, MackeyAxiomFailure, MalformedData,
                      NotApplicable, PrimeDividesN, TambaraAxiomFailure)
-from .eqwitt import (equivariant_witt, multiplicative_lift,
+from .eqwitt import (_restriction_r, equivariant_witt, multiplicative_lift,
                      multiplicative_order, restriction_r)
 from .mackey import MackeyFunctor, divisors
 from .rings import is_prime
@@ -209,12 +212,10 @@ def degree_zero_family(R, p, S):
     nu = multiplicative_order(p, n)
     r_maps = {}
     for s in range(nu, S + 1):
-        rm = restriction_r(witt_tower[s])
+        rm = _restriction_r(witt_tower[s], witt_tower[s - nu])
         r_maps[s] = {0: dict(rm.components)}
-    lam = {}
-    for s in range(S + 1):
-        lam[s] = {d: AbHom.identity(witt_tower[s].green.level(d))
-                  for d in witt_tower[s].group.divisors}
+    lam = {s: {d: AbHom.identity(W.green.level(d)) for d in W.group.divisors}
+           for s, W in enumerate(witt_tower)}
     compat = {}
     for s in range(S + 1):
         for smaller in range(s):

@@ -218,6 +218,28 @@ class TestMackeyAndBox:
         assert json.loads(proc.stderr) == {
             "error": "MackeyAxiomFailure: tr transitivity at 6"}
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+    def test_double_coset_failure_names_a_covering_pair(self, tmp_path,
+                                                         flags):
+        # doubling tr from level 3 to 9 breaks the law at (1, 9) and at
+        # (3, 9); validate decides it on covering pairs, so names (3, 9)
+        data = burnside(9).to_json()
+        tr = data["tr"]["3->9"]
+        tr["matrix"] = [[2 * x for x in row] for row in tr["matrix"]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(wittlab.__file__))
+        proc = subprocess.run(
+            [sys.executable] + flags + ["-m", "wittlab"] + MACKEY_SHOW
+            + [str(path)], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == json.dumps({
+            "error": "MackeyAxiomFailure: double coset law fails at (3, 9)"
+        }) + "\n"
+
     def test_box(self, capsys, tmp_path):
         a = tmp_path / "a.json"
         a.write_text(json.dumps(burnside(2).to_json()))
@@ -291,6 +313,15 @@ def _edited(data, path, value):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
+    return data
+
+
+def _without(data, path):
+    """data with the entry at a path of keys deleted."""
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
     return data
 
 
@@ -397,6 +428,39 @@ class TestMalformedFiles:
         assert list(last) == ["error"]
         assert last["error"].startswith("MalformedData: ")
         assert str(path) in last["error"]
+
+    # a family holds each map table at exactly the divisor keys of its
+    # group, in degree 0, for the base's n; the error names the file,
+    # the table and the key
+    @pytest.mark.parametrize("make, where", [
+        pytest.param(lambda: _family(d={"1,1": {}}),
+                     "d key '1,1': degree 1 is not 0", id="d-degree-1"),
+        pytest.param(lambda: _family(d={"0,5": {}}),
+                     "d key '0,5': degree 5 is not 0", id="d-degree-5"),
+        pytest.param(lambda: _family(n=5), "n = 5 is not base N = 2",
+                     id="n-not-base-N"),
+        pytest.param(lambda: _edited(_family(), ["lambda", "0", "99"],
+                                     {"matrix": [[1]]}),
+                     "lambda 0: unknown key '99'", id="lambda-key-99"),
+        pytest.param(lambda: _edited(_family(), ["r", "1", "0", "99"],
+                                     {"matrix": [[1]]}),
+                     "r 1: unknown key '99'", id="r-key-99"),
+        pytest.param(lambda: _without(_family(), ["lambda", "1", "3"]),
+                     "lambda 1: missing key '3'", id="lambda-missing-key"),
+        pytest.param(lambda: _without(_family(), ["compat", "1,0", "0",
+                                                  "2"]),
+                     "compat 1,0: missing key '2'", id="compat-missing-key"),
+        pytest.param(lambda: _family(d={"0,0": {"1": {"matrix": [[]]}}}),
+                     "d 0,0: missing key '2'", id="d-missing-key"),
+    ])
+    def test_family_table_exit_1_naming_the_key(self, capsys, tmp_path,
+                                                  make, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(make()))
+        code, out, err = run(capsys, CHECK_FILE + [str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "MalformedData: malformed %s: %s" % (path, where)}
 
 
 class TestFamilyShapes:

@@ -1,10 +1,14 @@
 """Tests for Mackey functors over cyclic groups."""
 
 import time
+from functools import cache
 from math import gcd
 
 import pytest
 from dense import identity_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mackey_reference import validate_comparable
 
 from wittlab.abgroups import (AbHom, FgAbGroup, smith_normal_form, tensor,
                               unit_vector)
@@ -16,7 +20,7 @@ from wittlab.mackey import (CyclicGroupSpec, MackeyFunctor, MackeyMap,
                             box_symmetry_map, box_unit_map, burnside,
                             burnside_basis_vector, divisors,
                             fixed_point_mackey, geometric_fixed_points,
-                            quotient, restrict_to_subgroup,
+                            prime_steps, quotient, restrict_to_subgroup,
                             weyl_coinvariants, zeta)
 from wittlab.rings import ModularRing
 from wittlab.tambara import constant_tambara
@@ -30,6 +34,13 @@ def sign_z_over_c2():
 def const_f3_over_c2():
     f3 = FgAbGroup.from_invariant_factors([3])
     return fixed_point_mackey(f3, AbHom.identity(f3), 2)
+
+
+def perm6():
+    """Z^3 permuted cyclically over C_6: the Weyl action is not trivial."""
+    z3 = FgAbGroup.free(3)
+    return fixed_point_mackey(
+        z3, AbHom(z3, z3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]), 6)
 
 
 BATTERY = None
@@ -63,8 +74,8 @@ def res_by_double_cosets(box, d, dsub):
         for t in range(d * g // (e * dsub)):
             shift = t * (N // d)
             part = box.pure_tensor(dsub, g,
-                                   left.weyl_power(g, shift).apply(x),
-                                   right.weyl_power(g, shift).apply(y))
+                                   left.weyl[g].power(shift).apply(x),
+                                   right.weyl[g].power(shift).apply(y))
             row = [a + b for a, b in zip(row, part)]
         rows.append(tuple(row))
     return tuple(rows)
@@ -233,10 +244,7 @@ class TestBoxProduct:
             m = equivariant_witt(constant_tambara(ModularRing(9), 4),
                                  3, 1).green.mackey
         else:
-            # Z^3 permuted cyclically: the Weyl action is not trivial
-            z3 = FgAbGroup.free(3)
-            m = fixed_point_mackey(
-                z3, AbHom(z3, z3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]), 6)
+            m = perm6()
         box = box_product(m, m)
         for (dsub, d) in box.group.covering_pairs():
             assert box.res[(d, dsub)].matrix == \
@@ -324,6 +332,127 @@ class TestValidation:
         with pytest.raises(MackeyAxiomFailure,
                            match="does not commute with res at"):
             MackeyMap(a2, a2, comps)
+
+
+LAW_FUNCTORS = {
+    "A12": lambda: burnside(12),
+    "A36": lambda: burnside(36),
+    "perm6": perm6,
+    "W12": lambda: equivariant_witt(constant_tambara(ModularRing(9), 4),
+                                    3, 1).green.mackey,
+    "constF3": const_f3_over_c2,
+    "signZ": sign_z_over_c2,
+}
+
+
+# functors with a covering pair along both 2 and 3, free or torsion
+SCALED = ["A12", "A36", "perm6", "W12"]
+
+
+@cache
+def law_functor(name):
+    return LAW_FUNCTORS[name]()
+
+
+def edited(M, res=None, tr=None, weyl=None):
+    """M with some of its stored maps replaced."""
+    return MackeyFunctor(M.group, M.levels, {**M.res, **(res or {})},
+                         {**M.tr, **(tr or {})}, {**M.weyl, **(weyl or {})})
+
+
+def along_prime(maps, q, c):
+    """The maps of the covering pairs with quotient q, scaled by c;
+    ``maps`` is keyed like ``res`` or ``tr`` of a Mackey functor."""
+    return {pair: f.scale_by(c) for pair, f in maps.items()
+            if max(pair) == min(pair) * q}
+
+
+def verdict(check, M):
+    """None when check(M) passes, else the failure message, with the
+    pair of a double coset failure left out."""
+    try:
+        check(M)
+    except MackeyAxiomFailure as exc:
+        message = str(exc)
+        return ("double coset law fails" if message.startswith(
+            "double coset law fails") else message)
+    return None
+
+
+class TestCoveringPairValidation:
+    """validate decides the double coset law on covering pairs; the
+    reference decides it on every comparable pair."""
+
+    @pytest.mark.parametrize("name", SCALED)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_transfers_scaled_along_a_prime_fail_the_law(self, name, q):
+        # scaling every transfer along q keeps transitivity and
+        # Weyl-equivariance, and breaks res tr on each pair along q
+        bad = edited(law_functor(name), tr=along_prime(
+            law_functor(name).tr, q, 2))
+        for check in (lambda m: m.validate(), validate_comparable):
+            with pytest.raises(MackeyAxiomFailure) as info:
+                check(bad)
+            assert str(info.value).startswith("double coset law fails")
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(SCALED),
+           q=st.sampled_from([2, 3]), c=st.integers(-6, 6))
+    def test_scaled_transfers_against_the_reference(self, name, q, c):
+        M = law_functor(name)
+        bad = edited(M, tr=along_prime(M.tr, q, c))
+        # the law now fails exactly where (c - 1) res tr is not zero
+        fails = any(not M.res[(d, e)].compose(M.tr[(e, d)]).scale_by(
+            c - 1).is_zero_hom() for (e, d) in M.group.covering_pairs()
+            if d == e * q)
+        expected = "double coset law fails" if fails else None
+        assert verdict(validate_comparable, bad) == expected
+        assert verdict(lambda m: m.validate(), bad) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_verdict_matches_the_reference(self, data):
+        M = law_functor(data.draw(st.sampled_from(sorted(LAW_FUNCTORS))))
+        c = data.draw(st.integers(-3, 3))
+        pair = data.draw(st.sampled_from(M.group.covering_pairs()))
+        d = data.draw(st.sampled_from(M.group.divisors))
+        q = data.draw(st.sampled_from(prime_steps(M.N)))
+        bad = data.draw(st.sampled_from([
+            lambda: edited(M, tr={pair: M.tr[pair].scale_by(c)}),
+            lambda: edited(M, res={pair[::-1]: M.res[pair[::-1]]
+                                   .scale_by(c)}),
+            lambda: edited(M, tr=along_prime(M.tr, q, c)),
+            lambda: edited(M, res=along_prime(M.res, q, c)),
+            lambda: edited(M, weyl={d: M.weyl[d].power(abs(c))}),
+        ]))()
+        assert verdict(lambda m: m.validate(), bad) == \
+            verdict(validate_comparable, bad)
+
+    def test_battery_passes_both(self):
+        for name in LAW_FUNCTORS:
+            M = law_functor(name)
+            assert M.validate() and validate_comparable(M)
+
+    def test_a_failure_is_named_by_a_covering_pair(self):
+        M = burnside(9)
+        bad = edited(M, tr={(3, 9): M.tr[(3, 9)].scale_by(2)})
+        with pytest.raises(MackeyAxiomFailure) as info:
+            bad.validate()
+        assert str(info.value) == "double coset law fails at (3, 9)"
+        with pytest.raises(MackeyAxiomFailure) as info:
+            validate_comparable(bad)
+        assert str(info.value) == "double coset law fails at (1, 9)"
+
+    def test_validate_builds_no_composite(self, monkeypatch):
+        box = box_product(burnside(36), burnside(36))
+
+        def refuse(*args):
+            raise AssertionError("validate built a composite map")
+
+        monkeypatch.setattr(MackeyFunctor, "res_map", refuse)
+        monkeypatch.setattr(MackeyFunctor, "tr_map", refuse)
+        monkeypatch.setattr(CyclicGroupSpec, "comparable_pairs", refuse)
+        assert box.validate()
 
 
 class TestRestrictAndZeta:

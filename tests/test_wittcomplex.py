@@ -4,8 +4,10 @@ import warnings
 
 import pytest
 
+from wittlab import eqwitt, wittcomplex
 from wittlab.abgroups import AbHom, FgAbGroup, unit_vector
-from wittlab.eqwitt import restriction_r
+from wittlab.cli import family_to_json, witt_complex_from_json
+from wittlab.eqwitt import equivariant_witt, restriction_r
 from wittlab.errors import (EvenPrime, MalformedData, NotApplicable,
                             PrimeDividesN)
 from wittlab.rings import IntegerRing, ModularRing, parse_ring
@@ -271,6 +273,44 @@ class TestInjectorsLeaveInputAlone:
             assert {d: h.matrix for d, h in r.components.items()} \
                 == before[s]
         assert check_equivariant(f).passed
+
+
+def count_witt_builds(monkeypatch):
+    """The (p, k) of every equivariant_witt call from here on."""
+    calls = []
+
+    def counted(R, p, k):
+        calls.append((p, k))
+        return equivariant_witt(R, p, k)
+
+    monkeypatch.setattr(eqwitt, "equivariant_witt", counted)
+    monkeypatch.setattr(wittcomplex, "equivariant_witt", counted)
+    return calls
+
+
+class TestFamilyBuildsEachTowerOnce:
+    """r of a family lands in the family's own Witt functors, so each
+    W_{C_{p^s n}}(R) is built once."""
+
+    def test_degree_zero_family(self, monkeypatch):
+        calls = count_witt_builds(monkeypatch)
+        f = degree_zero_family(constant_tambara(ModularRing(3), 1), 3, 4)
+        assert calls == [(3, s) for s in range(5)]
+        for s in range(1, 5):
+            assert restriction_r(f.witt_tower[s]).target_witt \
+                is f.witt_tower[s - 1]
+        assert check_equivariant(f).passed
+        assert len(calls) == 5
+
+    def test_family_read_from_json(self, monkeypatch):
+        obj = family_to_json(family_const_f3_n2(S=2))
+        calls = count_witt_builds(monkeypatch)
+        f = witt_complex_from_json(obj)
+        for s in (1, 2):
+            assert restriction_r(f.witt_tower[s]).target_witt \
+                is f.witt_tower[s - 1]
+        assert check_equivariant(f).passed
+        assert calls == [(3, s) for s in range(3)]
 
 
 class TestSpecializeShapes:
