@@ -691,6 +691,16 @@ def _json_int(value, name, depth=0):
     return value
 
 
+def _json_keys(table, name, keys):
+    """``keys``, once the JSON object ``table`` has exactly these keys:
+    a missing or unknown one is MalformedData naming ``name`` and it."""
+    for key in list(table) + keys:
+        if (key in keys) != (key in table):
+            raise MalformedData("%s: %s key %r" % (
+                name, "missing" if key in keys else "unknown", key))
+    return keys
+
+
 # ---------------------------------------------------------------------------
 # derived constructions
 

@@ -15,7 +15,7 @@ import warnings
 from functools import partial
 
 from . import abgroups, eqwitt, mackey, tambara, wittcomplex
-from .abgroups import _json_int
+from .abgroups import _json_int, _json_keys
 from .errors import MalformedData, WittlabError
 from .mackey import MackeyFunctor, divisors
 from .rings import parse_ring
@@ -260,13 +260,8 @@ def _hom_table(name, table, group, source, target):
     ``group``.  A missing or unknown key, a malformed matrix, or one that
     does not preserve relations, is MalformedData naming the table and
     the key."""
-    keys = [str(d) for d in group.divisors]
-    for key in list(table) + keys:
-        if (key in keys) != (key in table):
-            raise MalformedData("%s: %s key %r" % (
-                name, "missing" if key in keys else "unknown", key))
     homs = {}
-    for key in keys:
+    for key in _json_keys(table, name, [str(d) for d in group.divisors]):
         d = int(key)
         label = "%s matrix %s" % (name, key)
         matrix = _json_int(table[key]["matrix"], label, 2)
@@ -287,13 +282,21 @@ def _degree_zero(table, key, per_degree):
     return per_degree["0"]
 
 
-def _check_towers(table, key, S, *towers):
-    """MalformedData unless every tower index that ``key`` of the
-    family's ``table`` names lies in 0..S."""
-    for s in towers:
-        if not 0 <= s <= S:
-            raise MalformedData("%s key %r names tower %d outside 0..%d"
-                                % (table, key, s, S))
+def _tower_key(table, key, S, form, low=0):
+    """The integers of a key of the family's ``table`` written in the
+    ``form`` "s", "s,t" or "s,q", where the towers s and t lie in
+    low..S; any other key is MalformedData naming it."""
+    fields = key.split(",")
+    if len(fields) != len(form.split(",")) or not all(
+            field.isdecimal() for field in fields):
+        raise MalformedData("%s key %r is not of the form %s"
+                            % (table, key, form))
+    ints = tuple(map(int, fields))
+    for letter, s in zip(form.split(","), ints):
+        if letter != "q" and not low <= s <= S:
+            raise MalformedData("%s key %r names tower %d outside %d..%d"
+                                % (table, key, s, low, S))
+    return ints
 
 
 def witt_complex_from_json(obj):
@@ -321,8 +324,7 @@ def witt_complex_from_json(obj):
         eqwitt._restriction_r(witt_tower[s], witt_tower[s - nu])
     r_maps = {}
     for key, per_degree in obj.get("r", {}).items():
-        s = int(key)
-        _check_towers("r", key, S, s, s - nu)
+        (s,) = _tower_key("r", key, S, "s", nu)
         maps = _degree_zero("r", key, per_degree)
         r_maps[s] = {0: _hom_table(
             "r %s" % key, maps, towers[s - nu].group,
@@ -330,16 +332,14 @@ def witt_complex_from_json(obj):
             partial(towers[s - nu].level, 0))}
     compat = {}
     for key, per_degree in obj.get("compat", {}).items():
-        s, smaller = (int(x) for x in key.split(","))
-        _check_towers("compat", key, S, s, smaller)
+        s, smaller = _tower_key("compat", key, S, "s,t")
         maps = _degree_zero("compat", key, per_degree)
         compat[(s, smaller)] = {0: _hom_table(
             "compat %s" % key, maps, towers[smaller].group,
             partial(towers[s].level, 0), partial(towers[smaller].level, 0))}
     d_maps = {}
     for key, maps in obj.get("d", {}).items():
-        s, q = (int(x) for x in key.split(","))
-        _check_towers("d", key, S, s)
+        s, q = _tower_key("d", key, S, "s,q")
         if q != 0:
             raise MalformedData("d key %r: degree %d is not 0" % (key, q))
         d_maps[(s, q)] = _hom_table("d %s" % key, maps, towers[s].group,

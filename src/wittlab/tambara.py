@@ -21,11 +21,16 @@ knows which classes exist, so a new input class is one more object.
   and the internal norm the ghost-shift multiplicative transfer.
 * ``FIXED_POINT``: a ring with a C_N-action; no norm recipe yet.
 
-Each W_k(A), A = Z or Z/m, is presented on the basis V^j(1), j < k;
-its encode and decode are integer arithmetic on ghost vectors over Z
-(``present_witt_ring``).  The base ring itself is cyclic on 1.
+Each W_k(A), A = Z or Z/m, is presented on the basis V^j(1), j < k,
+with encode and decode by ghost vectors (``present_witt_ring``).  Its
+tables are closed forms from FV = p, with V^j(1) = 0 for j >= k:
+V^i(1) V^j(1) = p^min(i,j) V^max(i,j)(1), F(1) = 1, F(V^j(1)) =
+p V^(j-1)(1), V(V^j(1)) = V^(j+1)(1), and R keeps V^j(1) below the
+shorter length.  Reduced as encode reduces, each is the one vector of
+its class with entries in [0, m).  The base ring is cyclic on 1.
 """
 
+from collections import namedtuple
 from functools import partial
 from math import gcd
 
@@ -371,23 +376,16 @@ def _burnside_norm_closure(dsub, d):
 # presented rings (encode/decode between elements and coordinates)
 
 
-class PresentedRing:
-    """A commutative ring whose additive group is a presented FgAbGroup.
+class PresentedRing(namedtuple(
+        "PresentedRing", "group gens encode decode reduce mul one")):
+    """A commutative ring on a presented FgAbGroup, immutable so that
+    towers can share it: ``mul[i][j]`` is generator i times generator j
+    and ``one`` the unit, as coordinate vectors; ``reduce`` takes a
+    coordinate vector to the one that encode returns."""
 
-    ``ops`` does the element-level arithmetic (a ring carrier or a
-    WittRing); encode/decode translate between elements and generator
-    coordinate vectors.
-    """
-
-    def __init__(self, ops, group, gens, encode, decode):
-        self.ops = ops
-        self.group = group
-        self.gens = list(gens)
-        self.encode = encode
-        self.decode = decode
-        self.mul = tuple(tuple(tuple(encode(ops.mul(gi, gj)))
-                               for gj in gens) for gi in gens)
-        self.one = tuple(encode(ops.one()))
+    def basis(self, j, c=1):
+        """c times generator j, reduced; 0 for j past the last one."""
+        return self.reduce([c if i == j else 0 for i in range(len(self.gens))])
 
 
 def _modulus(spec):
@@ -404,18 +402,23 @@ def present_witt_ring(wr):
 
     Both directions are integer arithmetic on ghost vectors, where
     ghost(V^j(1))_n = p^j for n >= j.  Decoding c solves the ghost
-    vector (sum_{j<=n} c_j p^j)_n; encoding reads c_n = (w_n - w_{n-1})
-    / p^n off the ghost vector of the coordinates' lifts, exact by
-    Dwork's lemma.  Over Z/m the relations m e_j - encode(m V^j(1)) are
-    triangular with diagonal m, so their index m^k is the order of
-    W_k(Z/m); encode reduces each c_j into [0, m) along them, low index
-    first, which picks the one representative with all entries in
-    [0, m).  Decode solves over the cover of ``WittRing`` arithmetic:
-    Z itself, or Z/(m p^k) over Z/m.  Over Z encode is exact; over Z/m
-    it takes the ghost vector modulo (m p)^k: that fixes each c_n
-    modulo m^k p^(k-n), and the relation lattice contains m^k Z^k, so
-    the reduced representative is the exact one.  Entries stay at
-    O(k log(m p)) bits instead of growing p^k-fold.
+    vector (sum_{j<=n} c_j p^j)_n over the cover of ``WittRing``
+    arithmetic: Z itself, or Z/(m p^k) over Z/m.  Encoding reads
+    c_n = (w_n - w_{n-1}) / p^n off the ghost vector of the coordinates'
+    lifts (Dwork's lemma), over Z/m modulo (m p)^k, which fixes c_n
+    modulo m^k p^(k-n) in O(k log(m p)) bits, and ends with ``reduce``:
+    the relations m e_j - encode(m V^j(1)) are triangular with diagonal
+    m, their index m^k is the order of W_k(Z/m), and reduce brings each
+    entry into [0, m) along them, low index first.
+
+    A class has one representative with every entry in [0, m): if two
+    differed, take the lowest relation row in their difference; that
+    entry would be a non-zero multiple of m, but two entries in [0, m)
+    differ by less than m.  So encode is exact (the lattice contains
+    m^k Z^k), and the tables, closed forms reduced, are encode of the
+    Witt products: V^i(1) V^j(1) = p^min(i,j) V^max(i,j)(1), as
+    V^i(x) y = V^i(x F^i(y)) and FV = p, and 1 = V^0(1).  Over Z there
+    are no rows, and encode and the closed forms are exact.
     """
     p, k, m = wr.p, wr.k, _modulus(wr.ring)
     dmod = wr._cover_modulus(k)
@@ -429,17 +432,21 @@ def present_witt_ring(wr):
             ghost.append(acc)
         return wr.vector(_solve(p, ghost, dmod))
 
+    def reduce(vec):
+        out = list(vec)
+        for j, row in enumerate(rels):
+            q = out[j] // m
+            if q:
+                out = [a - q * b for a, b in zip(out, row)]
+        return tuple(out)
+
     def encode(w):
         out = []
         prev = 0
         for n, g in enumerate(_ghost(p, w.coords, emod)):
             out.append((g - prev) // p ** n)
             prev = g
-        for j, row in enumerate(rels):
-            q = out[j] // m
-            if q:
-                out = [a - q * b for a, b in zip(out, row)]
-        return tuple(out)
+        return reduce(out)
 
     # m V^j(1) = V^j(m) has zero coordinates up to j, so encoding it
     # reads no row at or below j: build the rows from the top down
@@ -449,16 +456,22 @@ def present_witt_ring(wr):
                                           for i in range(k)]))]
         row[j] += m
         rels[j] = row
-    gens = [wr.vector(unit_vector(k, j)) for j in range(k)]
-    return PresentedRing(wr, FgAbGroup(k, rels), gens, encode, decode)
+    gens = tuple(wr.vector(unit_vector(k, j)) for j in range(k))
+    pres = PresentedRing(FgAbGroup(k, rels), gens, encode, decode, reduce,
+                         None, None)
+    return pres._replace(one=pres.basis(0), mul=tuple(
+        tuple(pres.basis(max(i, j), p ** min(i, j)) for j in range(k))
+        for i in range(k)))
 
 
 def present_ring_spec(spec):
     """Present Z or Z/m as cyclic on 1, elements as themselves."""
     m = _modulus(spec)
     group = FgAbGroup(1, [[m]]) if m else FgAbGroup.free(1)
-    return PresentedRing(spec, group, [spec.one()],
-                         lambda x: (x,), lambda v: spec.from_int(v[0]))
+    one = (spec.one(),)
+    return PresentedRing(group, one, lambda x: (x,),
+                         lambda v: spec.from_int(v[0]),
+                         lambda v: (spec.from_int(v[0]),), ((one,),), one)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +526,7 @@ def fixed_point_tambara(ring, N):
                              {d: ring.one for d in group.divisors})
         norms = {}
         for (dsub, d) in group.covering_pairs():
-            norms[(dsub, d)] = _power_norm_closure(green, d, dsub, d // dsub)
+            norms[(dsub, d)] = partial(green.power, d, n=d // dsub)
         return TambaraFunctor(green, norms, FIXED_POINT)
 
     mk, inclusions = _fixed_point_mackey(ring.group, ring.action, N)
@@ -533,12 +546,6 @@ def fixed_point_tambara(ring, N):
         norms[(dsub, d)] = _orbit_product_norm_closure(
             ring, inclusions, N, dsub, d)
     return TambaraFunctor(green, norms, FIXED_POINT)
-
-
-def _power_norm_closure(green, level_d, dsub, index):
-    def norm(x):
-        return green.power(level_d, x, index)
-    return norm
 
 
 def _orbit_product_norm_closure(ring, inclusions, N, dsub, d):
@@ -670,11 +677,11 @@ class Constant:
         tr = {}
         for (dsub, d) in group.covering_pairs():
             if d // dsub == p:
-                # p-direction: Witt Frobenius down, Verschiebung up
-                wr = towers[split_p_part(d, p)[0]]
-                fro = [at[dsub].encode(wr.frobenius(g)) for g in at[d].gens]
+                # p-direction: F(1) = 1, F(V^(j+1)(1)) = p V^j(1); V shifts
+                low, js = at[dsub], range(len(at[dsub].gens))
+                fro = [low.one] + [low.basis(j, p) for j in js]
                 res[(d, dsub)] = AbHom(levels[d], levels[dsub], fro)
-                ver = [at[d].encode(wr.verschiebung(g)) for g in at[dsub].gens]
+                ver = [at[d].basis(j + 1) for j in js]
                 tr[(dsub, d)] = AbHom(levels[dsub], levels[d], ver)
             else:
                 # n-direction: identity / multiplication by the index
@@ -690,8 +697,7 @@ class Constant:
                 norms[(dsub, d)] = _witt_norm_closure(
                     towers, pres, split_p_part(dsub, p)[0])
             else:
-                norms[(dsub, d)] = _power_norm_closure(green, d, dsub,
-                                                       d // dsub)
+                norms[(dsub, d)] = partial(green.power, d, n=d // dsub)
         return TambaraFunctor(green, norms, WittTower(self, pres, towers))
 
 
@@ -710,22 +716,13 @@ class WittTower:
 
     def witt_rows(self, p, nu, d):
         """W_{q+1}(A) -> W_{q-nu+1}(A) at level d p^nu: the restriction
-        R^nu on the generators of the source presentation."""
+        R^nu keeps V^j(1) for j <= q - nu and sends it to 0 above."""
         q, _m = split_p_part(d * p ** nu, p)
-        target = self.presentations[q - nu]
-        rows = []
-        for gen in self.presentations[q].gens:
-            w = gen
-            for step in range(nu):
-                w = self.witt_rings[q - step].restriction(w)
-            rows.append(target.encode(w))
-        return rows
+        return [self.presentations[q - nu].basis(j) for j in range(q + 1)]
 
     def embed(self, a):
-        """A -> W_1(A) on coordinates."""
-        alpha = self.base.presentation.decode(tuple(a))
-        w1 = self.witt_rings[0].vector([alpha])
-        return self.presentations[0].encode(w1)
+        """A -> W_1(A) on coordinates: the reduction of the coordinate."""
+        return self.presentations[0].reduce(a)
 
     def classical_theta(self, p, k):
         """W_{k+1}(A) -> the top level: its presentation's encode."""
@@ -775,8 +772,9 @@ def restrict_green(G, h):
 def green_from_json(data):
     """Rebuild a Green functor from the extended Mackey schema."""
     mk = MackeyFunctor.from_json(data)
-    mul = {int(d): _json_int(table, "mul " + d, 3)
-           for d, table in data["mul"].items()}
-    one = {int(d): _json_int(v, "one " + d, 1)
-           for d, v in data["one"].items()}
+    keys = [str(d) for d in mk.group.divisors]
+    mul = {int(d): _json_int(data["mul"][d], "mul " + d, 3)
+           for d in abgroups._json_keys(data["mul"], "mul", keys)}
+    one = {int(d): _json_int(data["one"][d], "one " + d, 1)
+           for d in abgroups._json_keys(data["one"], "one", keys)}
     return GreenFunctor(mk, mul, one)

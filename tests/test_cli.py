@@ -281,6 +281,51 @@ class TestBoxOutputBytes:
             code, size, digest)
 
 
+# exit code, stdout length and stdout sha256 of Witt-tower commands as
+# recorded while the tower tables were computed by Witt arithmetic: the
+# closed forms on the basis V^j(1) must print the same bytes
+TOWER_OUTPUTS = [
+    pytest.param(["eqwitt", "--ring", "Z", "--p", "3", "--k", "13"], None,
+                 0, 30989, "4481a924e7954c32f07d6f09297ce86f"
+                 "b25afc620d08f452cde085f228c942b9", id="eqwitt-Z-k13"),
+    pytest.param(["eqwitt", "--ring", "F3", "--n", "2", "--p", "3",
+                  "--k", "3"], None,
+                 0, 5319, "1f55af1e0bf4d0c2f67daea882ef6197"
+                 "a33a31eb67aa39a9a40d197e27417afa", id="eqwitt-F3-n2-k3"),
+    pytest.param(["eqwitt", "--ring", "Z/25", "--n", "2", "--p", "5",
+                  "--k", "2"], None,
+                 0, 9143, "1e902540de8daf21d96af42dcc75b234"
+                 "67144829e22e273c7b4bdcd797a06af2", id="eqwitt-Z25-n2-p5"),
+    pytest.param(["eqwitt", "--ring", "Z/4", "--p", "2", "--k", "9"], None,
+                 0, 20240, "922cb719fdce1baa405de7206ce9094f"
+                 "590753a2f588c35ac2ae86e986f69d64", id="eqwitt-Z4-p2-k9"),
+    pytest.param(["norm", "--p", "3", "--k", "3", "--input"],
+                 lambda: constant_tambara(ModularRing(9), 2).to_json(),
+                 0, 12227, "ece17582493729736474cf521d6f85f5"
+                 "d3b8522c9b75e195f7408aeab7e28576", id="norm-Z9-C2-k3"),
+    pytest.param(["check", "witt-complex", "--file"],
+                 lambda: family_to_json(degree_zero_family(
+                     constant_tambara(ModularRing(3), 4), 3, 3)),
+                 0, 675, "e56d95cb91c29ad98799e899e07eef93"
+                 "32437b02169f7e8e996e0e0630b86a7e", id="check-F3-C4-S3"),
+]
+
+
+class TestTowerOutputBytes:
+    @pytest.mark.parametrize("args, make, code, size, digest",
+                             TOWER_OUTPUTS)
+    def test_stdout_unchanged(self, capsys, tmp_path, args, make, code,
+                              size, digest):
+        if make is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(make()))
+            args = args + [str(path)]
+        got, out, _ = run(capsys, args)
+        data = out.encode()
+        assert (got, len(data), hashlib.sha256(data).hexdigest()) == (
+            code, size, digest)
+
+
 def _mackey(**edits):
     data = burnside(2).to_json()
     data.update(edits)
@@ -330,7 +375,8 @@ def _family_n1(ring="F3"):
         constant_tambara(parse_ring(ring), 1), 3, 1))
 
 
-MUL_1 = ["E", "0", "degrees", "0", "mul", "1"]
+MUL_0 = ["E", "0", "degrees", "0", "mul"]
+MUL_1 = MUL_0 + ["1"]
 ONE_1 = ["E", "0", "degrees", "0", "one", "1"]
 
 
@@ -452,6 +498,17 @@ class TestMalformedFiles:
                      "compat 1,0: missing key '2'", id="compat-missing-key"),
         pytest.param(lambda: _family(d={"0,0": {"1": {"matrix": [[]]}}}),
                      "d 0,0: missing key '2'", id="d-missing-key"),
+        pytest.param(lambda: _family(r={"x": {"0": {}}}),
+                     "r key 'x' is not of the form s", id="r-key-x"),
+        pytest.param(lambda: _family(compat={"1": {"0": {}}}),
+                     "compat key '1' is not of the form s,t",
+                     id="compat-key-1"),
+        pytest.param(lambda: _family(d={"a,b": {}}),
+                     "d key 'a,b' is not of the form s,q", id="d-key-a-b"),
+        pytest.param(lambda: _edited(_family(), MUL_0 + ["x"], [[[1]]]),
+                     "mul: unknown key 'x'", id="mul-key-x"),
+        pytest.param(lambda: _edited(_family(), MUL_0 + ["99"], [[[1]]]),
+                     "mul: unknown key '99'", id="mul-key-99"),
     ])
     def test_family_table_exit_1_naming_the_key(self, capsys, tmp_path,
                                                   make, where):

@@ -9,11 +9,15 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wittlab
+import witt_tables_reference as reference
 from wittlab.abgroups import AbHom, FgAbGroup
 from wittlab.errors import (ActionOrderInvalid, NotASubgroup, PrimeDividesN,
                             TambaraAxiomFailure, UnsupportedInput,
@@ -26,8 +30,10 @@ from wittlab.tambara import (ActionRing, GreenFunctor, GreenMap,
                              burnside_to_marks, constant_tambara,
                              fixed_point_tambara, green_from_json,
                              norm_functor, present_witt_ring,
-                             tambara_from_json, zeta_green)
+                             split_p_part, tambara_from_json, zeta_green)
+from wittlab.eqwitt import equivariant_witt, restriction_r
 from wittlab.witt import WittRing, witt_from_ghost_over_z
+from wittlab.wittcomplex import degree_zero_family
 
 
 def norm_by_function_enumeration(dsub, d, orbit_stabilizers):
@@ -404,6 +410,82 @@ class TestPresentations:
             ghost = [sum(c[j] * 3 ** j for j in range(n + 1))
                      for n in range(3)]
             assert pres.decode(c).coords == witt_from_ghost_over_z(3, ghost)
+
+
+def _carrier(m):
+    return IntegerRing() if m == 0 else ModularRing(m)
+
+
+@lru_cache(maxsize=None)
+def _presentation(p, k, m):
+    return present_witt_ring(WittRing(p, k, _carrier(m)))
+
+
+class TestClosedFormTables:
+    """The tables read off the basis V^j(1) are, entry for entry, the
+    encoded Witt arithmetic of ``witt_tables_reference``."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 49],
+                             ids=lambda m: "Z" if m == 0 else "m%d" % m)
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_ring_tables_match_witt_products(self, p, m):
+        for k in range(1, 9):
+            wr = WittRing(p, k, _carrier(m))
+            pres = present_witt_ring(wr)
+            assert (pres.mul, pres.one) == reference.ring_tables(pres, wr)
+
+    @pytest.mark.parametrize("ring, n, p", [
+        ("Z", 1, 2), ("Z", 2, 3), ("F3", 1, 3), ("Z/9", 2, 3),
+        ("Z/4", 1, 2), ("Z/12", 5, 2), ("Z/25", 2, 5), ("Z/6", 1, 5)])
+    def test_f_and_v_match_witt_operators(self, ring, n, p):
+        w = norm_functor(constant_tambara(parse_ring(ring), n), p, 6)
+        mk, tower = w.mackey, w.norm_class
+        for d in mk.group.divisors:
+            q, _m = split_p_part(d, p)
+            if q:
+                assert list(mk.res[(d, d // p)].matrix) == \
+                    reference.frobenius_rows(tower, q)
+                assert list(mk.tr[(d // p, d)].matrix) == \
+                    reference.verschiebung_rows(tower, q)
+
+    @pytest.mark.parametrize("p, n, nu", [
+        (3, 2, 1), (3, 4, 2), (3, 5, 4), (5, 3, 2)])
+    @pytest.mark.parametrize("ring", ["F3", "Z/9", "Z"])
+    def test_r_rows_match_restrictions(self, ring, p, n, nu):
+        k = nu + 2
+        tower = norm_functor(constant_tambara(parse_ring(ring), n), p,
+                             k).norm_class
+        for d in divisors(p ** (k - nu) * n):
+            assert tower.witt_rows(p, nu, d) == \
+                reference.restriction_rows(tower, p, nu, d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6),
+           st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 49]),
+           st.data())
+    def test_reduce_is_a_representative_in_range(self, p, k, m, data):
+        pres = _presentation(p, k, m)
+        vec = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                 min_size=k, max_size=k))
+        got = pres.reduce(vec)
+        if m:
+            assert all(0 <= c < m for c in got)
+        else:
+            assert got == tuple(vec)
+        assert pres.group.equal(got, vec)
+
+    def test_towers_take_no_witt_arithmetic(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("Witt arithmetic in a table")
+        for op in ("mul", "frobenius", "verschiebung", "restriction"):
+            monkeypatch.setattr(WittRing, op, forbidden)
+        for ring in ("F3", "Z/9", "Z"):
+            for n in (1, 2):
+                w = equivariant_witt(constant_tambara(parse_ring(ring), n),
+                                     3, 4)
+                assert restriction_r(w).target_witt.k == 3
+        family = degree_zero_family(constant_tambara(ModularRing(3), 2), 3, 3)
+        assert len(family.witt_tower) == 4
 
 
 CORRUPT_GREEN = """
